@@ -50,7 +50,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..engine.table import Table
 from ..obs import default_registry
-from ..warehouse.service import WarehouseService
+from ..warehouse.service import WarehouseFront
 from .service import AsyncWarehouseService
 
 __all__ = ["MaintenanceDaemon", "BatchOutcome"]
@@ -128,7 +128,8 @@ class MaintenanceDaemon:
     Parameters
     ----------
     service:
-        The warehouse to refresh — a sync :class:`WarehouseService` or
+        The warehouse to refresh — a sync warehouse front
+        (:class:`WarehouseService` or ``ShardedWarehouseService``) or
         an :class:`AsyncWarehouseService` (its wrapped sync service is
         used; refreshes are serialized by its maintenance mutex either
         way).
@@ -175,16 +176,9 @@ class MaintenanceDaemon:
         retry_max_delay: float = 60.0,
         retry_jitter: float = 0.25,
     ) -> None:
-        # Imported lazily: sharded_service pulls in serve.worker, and a
-        # top-level import here would close that cycle during package
-        # initialization.
-        from ..warehouse.sharded_service import ShardedWarehouseService
-
         if isinstance(service, AsyncWarehouseService):
             service = service.service
-        if not isinstance(
-            service, (WarehouseService, ShardedWarehouseService)
-        ):
+        if not isinstance(service, WarehouseFront):
             raise TypeError(
                 "service must be a WarehouseService, "
                 "ShardedWarehouseService or AsyncWarehouseService"

@@ -50,6 +50,7 @@ from .partials import (
 from .service import (
     LRUCache,
     RWLock,
+    WarehouseFront,
     WarehouseService,
     WindowedRefreshReport,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "AdvisorPlan",
     "Candidate",
     "Recommendation",
+    "WarehouseFront",
     "WarehouseService",
     "RWLock",
     "LRUCache",

@@ -1,21 +1,28 @@
-"""Concurrent serving front for the sample warehouse.
+"""Concurrent serving fronts for the sample warehouse.
 
-:class:`WarehouseService` glues the persistent store, the maintenance
-pipeline and the AQP router into one thread-safe endpoint:
+:class:`WarehouseFront` is the read path both fronts share — the plain
+:class:`WarehouseService` here and the scatter-gather
+:class:`~repro.warehouse.sharded_service.ShardedWarehouseService`:
 
-* **reads** (:meth:`query`) run concurrently under a read-write lock's
-  shared side, route through an :class:`~repro.aqp.session.AQPSession`
-  (sample routing + HT-weighted plans + compiled-plan cache), and are
-  memoized in an LRU *answer* cache keyed by the store epoch — so a
-  dashboard re-issuing the same SQL is a dictionary hit;
-* **writes** (:meth:`build`, :meth:`refresh`, :meth:`register_table`)
-  do their heavy lifting — two-pass builds, streaming ingests, store
-  I/O — *outside* the write lock, then take it only for the in-memory
-  swap: replace the routed sample, append the batch to the base table
-  (so exact fallback stays consistent), bump the epoch, drop stale
-  cached answers. Readers therefore block only for the swap, never for
-  the sampling work; concurrent writers are serialized by a separate
-  maintenance mutex.
+* **reads** (:meth:`~WarehouseFront.query`,
+  :meth:`~WarehouseFront.query_with_contract`) run concurrently under a
+  read-write lock's shared side, route through an
+  :class:`~repro.aqp.session.AQPSession` (sample routing + HT-weighted
+  plans + compiled-plan cache), and are memoized in an LRU *answer*
+  cache keyed by the store epoch — so a dashboard re-issuing the same
+  SQL is a dictionary hit. A front differs only in how it produces an
+  answer (:meth:`~WarehouseFront._answer`) and a sliding-window sample
+  (:meth:`~WarehouseFront._materialize_slide`);
+* **writes** (:meth:`WarehouseService.build`,
+  :meth:`~WarehouseService.refresh`,
+  :meth:`~WarehouseService.register_table`) are each front's own. Here
+  they do their heavy lifting — two-pass builds, streaming ingests,
+  store I/O — *outside* the write lock, then take it only for the
+  in-memory swap: replace the routed sample, append the batch to the
+  base table (so exact fallback stays consistent), bump the epoch, drop
+  stale cached answers. Readers therefore block only for the swap,
+  never for the sampling work; concurrent writers are serialized by a
+  separate maintenance mutex.
 
 Thread-safety note: the session's internal plan cache is shared by
 concurrent readers; its mutations are benign under the GIL (worst case
@@ -61,7 +68,6 @@ from .windows import (
     SLIDE_SUFFIX,
     covering_window_starts,
     merge_window_samples,
-    parse_window,
     parse_window_sample_name,
     partition_by_window,
     window_decay_factors,
@@ -69,6 +75,7 @@ from .windows import (
 )
 
 __all__ = [
+    "WarehouseFront",
     "WarehouseService",
     "WindowedRefreshReport",
     "RWLock",
@@ -94,6 +101,11 @@ _ANSWER_CACHE = default_registry().counter(
 
 def _route_label(route: RouteDecision) -> str:
     return "sample" if route.approximate else "exact"
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("auto", "approx", "exact"):
+        raise ValueError("mode must be 'auto', 'approx' or 'exact'")
 
 
 @dataclass
@@ -238,7 +250,420 @@ class LRUCache:
             return len(self._entries)
 
 
-class WarehouseService:
+class WarehouseFront:
+    """The read path shared by both warehouse fronts.
+
+    Holds the serving state — routing session, read-write lock,
+    maintenance mutex, answer cache, epoch — and answers queries,
+    attaches accuracy contracts, checks sliding-window ranges and
+    reports introspection, each written once here. A front supplies two
+    hooks: :meth:`_answer` (produce one answer plus the routed sample's
+    snapshot) and :meth:`_materialize_slide` (make a covering
+    sliding-window sample routable). Maintenance is the front's own; it
+    fills ``_versions``/``_lineages``/``_families`` and calls
+    :meth:`_bump` under the write lock.
+    """
+
+    def __init__(
+        self, tables: Optional[Mapping[str, Table]], cache_size: int
+    ) -> None:
+        self._session = AQPSession(tables)
+        self._lock = RWLock()
+        self._maintenance = threading.Lock()  # serializes writers' work
+        self._cache = LRUCache(cache_size)
+        self._epoch = 0
+        self._versions: Dict[str, str] = {}  # sample -> served version
+        self._lineages: Dict[str, Dict] = {}  # sample -> served lineage
+        #: Windowed sample families, keyed by base name. Each value
+        #: holds the partitioning config and the retained members:
+        #: ``{"column", "width", "table_name", "group_by",
+        #: "value_columns", "budget", "windows": {start: version}}``,
+        #: plus the serving-time ``decay``/``retention`` a plain front
+        #: declares at build time (absent or ``None``: no decay,
+        #: unbounded retention).
+        self._families: Dict[str, Dict] = {}
+        #: Signature of each registered slide sample:
+        #: ``slide name -> ((start, version), ...)`` it was merged
+        #: from, so a repeat query over the same range skips the
+        #: re-merge (and the epoch bump that would empty the answer
+        #: cache).
+        self._slides: Dict[str, tuple] = {}
+        self.queries_served = 0
+
+    # ------------------------------------------------------------------
+    # hooks
+    # ------------------------------------------------------------------
+    def _answer(self, sql: str, mode: str, max_cv: Optional[float] = None):
+        """One uncached answer: ``(AQPResult, snapshot)``.
+
+        ``snapshot`` is the routed sample's ``(version, lineage,
+        allocation)`` (see :meth:`_snapshot`), taken under the same
+        read-lock acquisition as routing so the contract names the
+        version the route was computed against; ``None`` for exact
+        routes. ``mode`` is already validated.
+        """
+        raise NotImplementedError
+
+    def _materialize_slide(
+        self, base: str, family: Dict, starts: Sequence[int]
+    ) -> None:
+        """Make the merge of ``family``'s members at ``starts``
+        routable as ``base + SLIDE_SUFFIX`` (no-op when the registered
+        slide already covers exactly these versions — see
+        :meth:`_slide_signature`)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # serving
+    # ------------------------------------------------------------------
+    def query(self, sql: str, mode: str = "auto") -> AQPResult:
+        """Answer ``sql``; concurrent-safe, memoized per store epoch."""
+        _check_mode(mode)
+        t0 = time.perf_counter()
+        self._ensure_slide(sql)
+        key = (self._epoch, mode, sql)
+        cached = self._cached(key, t0)
+        if cached is not None:
+            return cached
+        result, _ = self._answer(sql, mode)
+        self.queries_served += 1
+        # A writer may have swapped while we executed; only cache
+        # results that are still current.
+        if key[0] == self._epoch:
+            self._cache.put(key, result)
+        _QUERIES.inc(route=_route_label(result.route))
+        _QUERY_SECONDS.observe(time.perf_counter() - t0)
+        return result
+
+    def query_with_contract(
+        self,
+        sql: str,
+        mode: str = "auto",
+        max_cv: Optional[float] = None,
+        max_staleness: Optional[float] = None,
+        on_violation: str = "fallback",
+    ) -> ContractedResult:
+        """Answer ``sql`` with an accuracy contract attached.
+
+        The contract (per-group predicted CV, served sample version,
+        staleness, exact-fallback flag) is built from the snapshot
+        :meth:`_answer` took under the same read lock as routing, so it
+        names exactly the version the route was computed against — even
+        while writers hot-swap versions concurrently.
+
+        ``max_cv`` bounds the worst per-group predicted CV for the
+        column(s) the query aggregates and ``max_staleness`` bounds the
+        served sample's staleness ratio. ``max_cv`` is also handed to
+        the router, which *prefers* a sample satisfying it on the
+        queried columns over the globally-lowest-CV sample — exact
+        fallback happens only when no stored sample qualifies. When the
+        routed sample still violates a constraint, the query is re-run
+        exactly (``on_violation="fallback"``, the default — exact
+        answers satisfy any accuracy constraint) or rejected with
+        :class:`AccuracyContractViolation` (``on_violation="reject"``,
+        or ``mode="approx"`` where exact execution is not allowed).
+
+        Thread-safe; memoized per store epoch like :meth:`query`.
+        Raises :class:`ValueError` for a bad ``mode``/``on_violation``
+        and propagates SQL errors from the engine.
+        """
+        if on_violation not in ("fallback", "reject"):
+            raise ValueError("on_violation must be 'fallback' or 'reject'")
+        _check_mode(mode)
+        t0 = time.perf_counter()
+        below_retention = self._ensure_slide(sql)
+        if below_retention is not None and (
+            on_violation == "reject" or mode == "approx"
+        ):
+            # The requested time range reaches below the windowed
+            # family's retention horizon: no retained sample can speak
+            # for those rows, and the caller refused exact fallback.
+            constraints: Dict[str, float] = {}
+            if max_cv is not None:
+                constraints["max_cv"] = float(max_cv)
+            if max_staleness is not None:
+                constraints["max_staleness"] = float(max_staleness)
+            _QUERIES.inc(route="rejected")
+            raise AccuracyContractViolation(
+                [below_retention],
+                AccuracyContract(
+                    executed="exact",
+                    fallback_exact=False,
+                    reason=below_retention,
+                    constraints=constraints,
+                    satisfied=False,
+                ),
+            )
+        key = ("contract", self._epoch, mode, sql, max_cv, max_staleness,
+               on_violation)
+        cached = self._cached(key, t0)
+        if cached is not None:
+            return cached
+        result, snapshot = self._answer(sql, mode, max_cv=max_cv)
+        route_label = _route_label(result.route)
+        with _TRACER.span("warehouse.contract"):
+            contract, violations = self._contract_for(
+                result.route, mode, max_cv, max_staleness, snapshot
+            )
+        if violations:
+            if on_violation == "reject" or mode == "approx":
+                _QUERIES.inc(route="rejected")
+                raise AccuracyContractViolation(violations, contract)
+            with _TRACER.span("warehouse.fallback_exact"):
+                result, _ = self._answer(sql, "exact")
+            route_label = "fallback"
+            contract = AccuracyContract(
+                executed="exact",
+                fallback_exact=True,
+                reason="accuracy constraints unsatisfied by stored "
+                "samples (" + "; ".join(violations) + "); executed "
+                "exactly",
+                constraints=contract.constraints,
+                satisfied=True,
+            )
+        self.queries_served += 1
+        answer = ContractedResult(result=result, contract=contract)
+        if key[1] == self._epoch:
+            self._cache.put(key, answer)
+        _QUERIES.inc(route=route_label)
+        _QUERY_SECONDS.observe(time.perf_counter() - t0)
+        return answer
+
+    def execute(self, sql: str) -> Table:
+        """Exact execution over the base tables; returns the answer
+        :class:`~repro.engine.table.Table` (no routing provenance)."""
+        return self.query(sql, mode="exact").table
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    @property
+    def epoch(self) -> int:
+        """Monotonic swap counter; bumps on every structural change."""
+        return self._epoch
+
+    def samples(self) -> List[str]:
+        """Names of the samples currently live in the router."""
+        with self._lock.read():
+            return self._session.samples()
+
+    def served_versions(self) -> Dict[str, str]:
+        """Snapshot of ``{sample name: served store version}``."""
+        with self._lock.read():
+            return dict(self._versions)
+
+    def served_lineages(self) -> Dict[str, Dict]:
+        """Snapshot of each served sample's lineage (staleness, drift,
+        refresh history) — in-memory, no store I/O."""
+        with self._lock.read():
+            return {name: dict(li) for name, li in self._lineages.items()}
+
+    def sample_summaries(self) -> List[Dict]:
+        """One JSON-ready dict per live sample (version, shape,
+        staleness, drift) from in-memory state — cheap enough to serve
+        on every ``GET /samples`` without touching the store."""
+        with self._lock.read():
+            out = []
+            for name in self._session.samples():
+                sample = self._session.catalog.get(name)
+                lineage = self._lineages.get(name, {})
+                tracked = tracked_columns_from_lineage(
+                    lineage, sample.allocation.stats
+                )
+                out.append(
+                    {
+                        "name": name,
+                        "version": self._versions.get(name),
+                        "window": self._session.sample_window(name),
+                        "rows": sample.num_rows,
+                        "strata": sample.allocation.num_strata,
+                        "by": list(sample.allocation.by),
+                        "columns": tracked,
+                        "primary_column": tracked[0] if tracked else None,
+                        "staleness": staleness_from_lineage(lineage),
+                        "drift": float(lineage.get("drift", 1.0)),
+                        "drift_by_column": {
+                            c: float(d)
+                            for c, d in (
+                                lineage.get("drift_by_column") or {}
+                            ).items()
+                        },
+                        "needs_rebuild": bool(
+                            lineage.get("needs_rebuild", False)
+                        ),
+                    }
+                )
+            return out
+
+    def health(self) -> Dict:
+        """Liveness snapshot (no store I/O) for ``GET /healthz``."""
+        with self._lock.read():
+            return {
+                "status": "ok",
+                "epoch": self._epoch,
+                "tables": len(self._session.tables),
+                "samples": len(self._versions),
+                "queries_served": self.queries_served,
+            }
+
+    def _serving_stats(self) -> Dict:
+        """The serving-counter block every front's ``stats()`` starts
+        from. Caller holds the read lock."""
+        session = self._session
+        return {
+            "epoch": self._epoch,
+            "queries_served": self.queries_served,
+            "answer_cache": self._cache.counters(),
+            "groupcode_cache": default_group_code_cache().counters(),
+            "plan_cache": {
+                "hits": session.plan_cache_hits,
+                "misses": session.plan_cache_misses,
+            },
+            "tables": {
+                name: table.num_rows
+                for name, table in session.tables.items()
+            },
+        }
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _cached(self, key, t0: float):
+        """Answer-cache lookup, counted as one served query on a hit."""
+        cached = self._cache.get(key)
+        if cached is None:
+            _ANSWER_CACHE.inc(result="miss")
+            _TRACER.annotate(answer_cache="miss")
+            return None
+        self.queries_served += 1
+        _ANSWER_CACHE.inc(result="hit")
+        _TRACER.annotate(answer_cache="hit")
+        _QUERIES.inc(route="cached")
+        _QUERY_SECONDS.observe(time.perf_counter() - t0)
+        return cached
+
+    def _snapshot(self, route: RouteDecision):
+        """``(version, lineage, allocation)`` of the routed sample, or
+        ``None`` for an exact route. Caller holds the read lock the
+        route was computed under."""
+        if not route.approximate:
+            return None
+        name = route.sample_name
+        return (
+            self._versions.get(name),
+            self._lineages.get(name, {}),
+            self._session.catalog.get(name).allocation,
+        )
+
+    def _contract_for(
+        self,
+        route: RouteDecision,
+        mode: str,
+        max_cv: Optional[float],
+        max_staleness: Optional[float],
+        snapshot,
+    ):
+        """Contract + violation list for a routing decision and the
+        :meth:`_snapshot` taken with it."""
+        if not route.approximate:
+            return build_contract(
+                route, mode, max_cv, max_staleness,
+                sample_version=None, lineage={}, staleness=0.0,
+                group_keys=None,
+            )
+        version, lineage, allocation = snapshot
+        return build_contract(
+            route, mode, max_cv, max_staleness,
+            sample_version=version,
+            lineage=lineage,
+            staleness=staleness_from_lineage(lineage),
+            group_keys=tuple(tuple(k) for k in allocation.keys),
+            window_bounds=route.window_bounds,
+        )
+
+    def _ensure_slide(self, sql: str) -> Optional[str]:
+        """Materialize the merged sliding-window sample ``sql`` needs.
+
+        Called before every query while windowed families exist. When
+        the query's WHERE clause pins a time range on a family's
+        timestamp column and the retained windows cover it, the front
+        makes the covering members routable as ``<base>@slide`` (see
+        :meth:`_materialize_slide`); a repeat query over the same range
+        reuses the previous merge and changes nothing.
+
+        Returns a violation message when the range reaches *below* the
+        oldest window of a family with ``retention`` set (rows there
+        may have been pruned; the contract path turns that into a 412),
+        otherwise ``None`` — ranges below a family that never pruned,
+        beyond the newest window or over a gap simply fall back to
+        exact, which still has every row.
+        """
+        if not self._families:
+            return None
+        try:
+            parsed = parse_query(sql)
+        except Exception:
+            return None  # let the session raise the real error
+        table_ref = getattr(parsed.from_clause, "name", None)
+        for base, family in list(self._families.items()):
+            if table_ref != family["table_name"]:
+                continue
+            bounds = extract_time_bounds(parsed, family["column"])
+            if bounds is None:
+                continue
+            lo, hi = bounds
+            if lo is None:
+                continue  # unbounded past: would need every window ever
+            with self._lock.read():
+                retained = sorted(family["windows"])
+            if not retained:
+                continue
+            width = family["width"]
+            horizon = retained[-1] + width
+            if lo < retained[0]:
+                if not family.get("retention"):
+                    continue  # nothing pruned: exact fallback
+                hi_text = hi if hi is not None else "now"
+                return (
+                    f"time range [{lo}, {hi_text}) on "
+                    f"{family['column']!r} reaches below the retention "
+                    f"horizon of windowed sample {base!r} (oldest "
+                    f"retained window starts at {retained[0]})"
+                )
+            hi_eff = hi if hi is not None else horizon
+            if hi_eff <= lo or hi_eff > horizon:
+                continue  # empty or not-yet-sampled range: exact
+            needed = covering_window_starts(lo, hi_eff, width)
+            if any(start not in family["windows"] for start in needed):
+                continue  # gap window: exact fallback
+            if len(needed) > 1:
+                self._materialize_slide(base, family, needed)
+        return None
+
+    def _slide_signature(
+        self, slide: str, family: Dict, starts: Sequence[int]
+    ) -> Optional[tuple]:
+        """``((start, version), ...)`` of the members a slide over
+        ``starts`` merges — or ``None`` when a member expired or
+        ``slide`` is already registered from exactly these versions."""
+        with self._lock.read():
+            signature = tuple(
+                (start, family["windows"].get(start)) for start in starts
+            )
+            if (
+                any(v is None for _, v in signature)
+                or self._slides.get(slide) == signature
+            ):
+                return None
+        return signature
+
+    def _bump(self) -> None:
+        """Invalidate answers; caller must hold the write lock."""
+        self._epoch += 1
+        self._cache.clear()
+
+
+class WarehouseService(WarehouseFront):
     """Thread-safe query endpoint over a persistent sample warehouse.
 
     Construct with a store root (or :class:`SampleStore`) and a mapping
@@ -272,33 +697,12 @@ class WarehouseService:
             cv_degradation_threshold=cv_degradation_threshold,
             keep_versions=keep_versions,
         )
-        self._session = AQPSession(tables)
+        super().__init__(tables, cache_size)
         # Distinguishes services sharing one process that serve
         # different row sets under the same (sample, version) — e.g.
         # in-process shard workers — in the group-code cache key.
         self._cache_scope = cache_scope
-        self._lock = RWLock()
-        self._maintenance = threading.Lock()  # serializes writers' work
-        self._cache = LRUCache(cache_size)
-        self._epoch = 0
-        self._versions: Dict[str, str] = {}  # sample -> served version
-        self._lineages: Dict[str, Dict] = {}  # sample -> served lineage
         self._orphans: Dict[str, str] = {}  # sample -> missing base table
-        #: Windowed sample families, keyed by base name. Each value
-        #: holds the partitioning config and the retained members:
-        #: ``{"column", "width", "decay", "retention", "table_name",
-        #: "group_by", "value_columns", "budget",
-        #: "windows": {start: version}}``. ``decay``/``retention`` are
-        #: serving-time parameters declared at build time; a
-        #: warm-started family defaults to no decay and unbounded
-        #: retention until the next :meth:`build_windowed`.
-        self._families: Dict[str, Dict] = {}
-        #: Signature of each registered slide sample:
-        #: ``base -> ((start, version), ...)`` it was merged from, so a
-        #: repeat query over the same range skips the re-merge (and the
-        #: epoch bump that would empty the answer cache).
-        self._slides: Dict[str, tuple] = {}
-        self.queries_served = 0
         self._warm_start()
 
     # ------------------------------------------------------------------
@@ -733,368 +1137,61 @@ class WarehouseService:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def query(self, sql: str, mode: str = "auto") -> AQPResult:
-        """Answer ``sql``; concurrent-safe, memoized per store epoch."""
-        t0 = time.perf_counter()
-        self._ensure_slide(sql)
-        key = (self._epoch, mode, sql)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        with self._lock.read():
-            result = self._session.query(sql, mode=mode)
-        self.queries_served += 1
-        # A writer may have swapped while we executed; only cache
-        # results that are still current.
-        if key[0] == self._epoch:
-            self._cache.put(key, result)
-        _QUERIES.inc(route=_route_label(result.route))
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return result
-
-    def query_with_contract(
-        self,
-        sql: str,
-        mode: str = "auto",
-        max_cv: Optional[float] = None,
-        max_staleness: Optional[float] = None,
-        on_violation: str = "fallback",
-    ) -> ContractedResult:
-        """Answer ``sql`` with an accuracy contract attached.
-
-        The contract (per-group predicted CV, served sample version,
-        staleness, exact-fallback flag) is snapshotted under the same
-        read lock as the execution, so it names exactly the version
-        whose rows produced the answer — even while writers hot-swap
-        versions concurrently.
-
-        ``max_cv`` bounds the worst per-group predicted CV for the
-        column(s) the query aggregates and ``max_staleness`` bounds the
-        served sample's staleness ratio. ``max_cv`` is also handed to
-        the router, which *prefers* a sample satisfying it on the
-        queried columns over the globally-lowest-CV sample — exact
-        fallback happens only when no stored sample qualifies. When the
-        routed sample still violates a constraint, the query is re-run
-        exactly (``on_violation="fallback"``, the default — exact
-        answers satisfy any accuracy constraint) or rejected with
-        :class:`AccuracyContractViolation` (``on_violation="reject"``,
-        or ``mode="approx"`` where exact execution is not allowed).
-
-        Thread-safe; memoized per store epoch like :meth:`query`.
-        Raises :class:`ValueError` for a bad ``mode``/``on_violation``
-        and propagates SQL errors from the engine.
-        """
-        if on_violation not in ("fallback", "reject"):
-            raise ValueError("on_violation must be 'fallback' or 'reject'")
-        t0 = time.perf_counter()
-        below_retention = self._ensure_slide(sql)
-        if below_retention is not None and (
-            on_violation == "reject" or mode == "approx"
-        ):
-            # The requested time range reaches below the windowed
-            # family's retention horizon: no retained sample can speak
-            # for those rows, and the caller refused exact fallback.
-            constraints: Dict[str, float] = {}
-            if max_cv is not None:
-                constraints["max_cv"] = float(max_cv)
-            if max_staleness is not None:
-                constraints["max_staleness"] = float(max_staleness)
-            _QUERIES.inc(route="rejected")
-            raise AccuracyContractViolation(
-                [below_retention],
-                AccuracyContract(
-                    executed="exact",
-                    fallback_exact=False,
-                    reason=below_retention,
-                    constraints=constraints,
-                    satisfied=False,
-                ),
-            )
-        key = ("contract", self._epoch, mode, sql, max_cv, max_staleness,
-               on_violation)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        route_label = "exact"
+    def _answer(self, sql: str, mode: str, max_cv: Optional[float] = None):
+        """Route and execute through the session under one read lock."""
         with self._lock.read():
             result = self._session.query(sql, mode=mode, max_cv=max_cv)
-            route_label = _route_label(result.route)
-            with _TRACER.span("warehouse.contract"):
-                contract, violations = self._contract_for(
-                    result.route, mode, max_cv, max_staleness
-                )
-            if violations:
-                if on_violation == "reject" or mode == "approx":
-                    _QUERIES.inc(route="rejected")
-                    raise AccuracyContractViolation(violations, contract)
-                with _TRACER.span("warehouse.fallback_exact"):
-                    result = self._session.query(sql, mode="exact")
-                route_label = "fallback"
-                contract = AccuracyContract(
-                    executed="exact",
-                    fallback_exact=True,
-                    reason="accuracy constraints unsatisfied by stored "
-                    "samples (" + "; ".join(violations) + "); executed "
-                    "exactly",
-                    constraints=contract.constraints,
-                    satisfied=True,
-                )
-        self.queries_served += 1
-        answer = ContractedResult(result=result, contract=contract)
-        if key[1] == self._epoch:
-            self._cache.put(key, answer)
-        _QUERIES.inc(route=route_label)
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return answer
-
-    def execute(self, sql: str) -> Table:
-        """Exact execution over the base tables; returns the answer
-        :class:`~repro.engine.table.Table` (no routing provenance)."""
-        return self.query(sql, mode="exact").table
+            return result, self._snapshot(result.route)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Monotonic swap counter; bumps on every structural change."""
-        return self._epoch
-
-    def samples(self) -> List[str]:
-        """Names of the samples currently live in the router."""
-        with self._lock.read():
-            return self._session.samples()
-
-    def served_versions(self) -> Dict[str, str]:
-        """Snapshot of ``{sample name: served store version}``."""
-        with self._lock.read():
-            return dict(self._versions)
-
-    def served_lineages(self) -> Dict[str, Dict]:
-        """Snapshot of each served sample's lineage (staleness, drift,
-        refresh history) — in-memory, no store I/O."""
-        with self._lock.read():
-            return {name: dict(li) for name, li in self._lineages.items()}
-
-    def sample_summaries(self) -> List[Dict]:
-        """One JSON-ready dict per live sample (version, shape,
-        staleness, drift) from in-memory state — cheap enough to serve
-        on every ``GET /samples`` without touching the store."""
-        with self._lock.read():
-            out = []
-            for name in self._session.samples():
-                sample = self._session.catalog.get(name)
-                lineage = self._lineages.get(name, {})
-                tracked = tracked_columns_from_lineage(
-                    lineage, sample.allocation.stats
-                )
-                out.append(
-                    {
-                        "name": name,
-                        "version": self._versions.get(name),
-                        "window": self._session.sample_window(name),
-                        "rows": sample.num_rows,
-                        "strata": sample.allocation.num_strata,
-                        "by": list(sample.allocation.by),
-                        "columns": tracked,
-                        "primary_column": tracked[0] if tracked else None,
-                        "staleness": staleness_from_lineage(lineage),
-                        "drift": float(lineage.get("drift", 1.0)),
-                        "drift_by_column": {
-                            c: float(d)
-                            for c, d in (
-                                lineage.get("drift_by_column") or {}
-                            ).items()
-                        },
-                        "needs_rebuild": bool(
-                            lineage.get("needs_rebuild", False)
-                        ),
-                    }
-                )
-            return out
-
-    def health(self) -> Dict:
-        """Liveness snapshot (no store I/O) for ``GET /healthz``."""
-        with self._lock.read():
-            return {
-                "status": "ok",
-                "epoch": self._epoch,
-                "tables": len(self._session.tables),
-                "samples": len(self._versions),
-                "queries_served": self.queries_served,
-            }
-
     def stats(self) -> Dict:
         """Store accounting + serving counters in one snapshot."""
         entries: List[StoreEntryStats] = self.store.stats()
-        store_info = {
-            "root": str(self.store.root),
-            "backend": getattr(self.store.backend, "name", "npz"),
-            "manifest": self.store.manifest_position(),
-        }
         with self._lock.read():
-            session = self._session
-            return {
-                "epoch": self._epoch,
-                "queries_served": self.queries_served,
-                "store": store_info,
-                "answer_cache": self._cache.counters(),
-                "groupcode_cache": default_group_code_cache().counters(),
-                "plan_cache": {
-                    "hits": session.plan_cache_hits,
-                    "misses": session.plan_cache_misses,
-                },
-                "tables": {
-                    name: table.num_rows
-                    for name, table in session.tables.items()
-                },
-                "samples": {
-                    e.name: {
-                        "version": e.current_version,
-                        "served_version": self._versions.get(e.name),
-                        "versions": e.num_versions,
-                        "rows": e.rows,
-                        "strata": e.strata,
-                        "by": list(e.by),
-                        "columns": dict(e.columns),
-                        "method": e.method,
-                        "backend": e.backend,
-                        "bytes": e.bytes_on_disk,
-                        "staleness": e.lineage.get("staleness", 0.0),
-                        "needs_rebuild": e.lineage.get(
-                            "needs_rebuild", False
-                        ),
-                    }
-                    for e in entries
-                },
+            stats = self._serving_stats()
+            stats["store"] = {
+                "root": str(self.store.root),
+                "backend": getattr(self.store.backend, "name", "npz"),
+                "manifest": self.store.manifest_position(),
             }
+            stats["samples"] = {
+                e.name: {
+                    "version": e.current_version,
+                    "served_version": self._versions.get(e.name),
+                    "versions": e.num_versions,
+                    "rows": e.rows,
+                    "strata": e.strata,
+                    "by": list(e.by),
+                    "columns": dict(e.columns),
+                    "method": e.method,
+                    "backend": e.backend,
+                    "bytes": e.bytes_on_disk,
+                    "staleness": e.lineage.get("staleness", 0.0),
+                    "needs_rebuild": e.lineage.get("needs_rebuild", False),
+                }
+                for e in entries
+            }
+            return stats
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _contract_for(
-        self,
-        route: RouteDecision,
-        mode: str,
-        max_cv: Optional[float],
-        max_staleness: Optional[float],
-    ):
-        """Contract + violation list for a routing decision.
-
-        Caller must hold the read lock, so the version/lineage snapshot
-        is consistent with the sample the route was computed against.
-        """
-        if not route.approximate:
-            return build_contract(
-                route, mode, max_cv, max_staleness,
-                sample_version=None, lineage={}, staleness=0.0,
-                group_keys=None,
-            )
-        name = route.sample_name
-        lineage = self._lineages.get(name, {})
-        sample = self._session.catalog.get(name)
-        return build_contract(
-            route, mode, max_cv, max_staleness,
-            sample_version=self._versions.get(name),
-            lineage=lineage,
-            staleness=staleness_from_lineage(lineage),
-            group_keys=tuple(tuple(k) for k in sample.allocation.keys),
-            window_bounds=route.window_bounds,
-        )
-
-    def _ensure_slide(self, sql: str) -> Optional[str]:
-        """Materialize the merged sliding-window sample ``sql`` needs.
-
-        Called before every query while windowed families exist. When
-        the query's WHERE clause pins a time range on a family's
-        timestamp column and the retained windows cover it, the
-        covering members are merged (moments summed exactly, decay
-        applied when the family declares it) and registered as
-        ``<base>@slide`` so the router can pick it; a repeat query over
-        the same range reuses the previous merge via the
-        ``(start, version)`` signature and changes nothing.
-
-        Returns a violation message when the range reaches *below* the
-        retention horizon (the contract path turns that into a 412),
-        otherwise ``None`` — ranges beyond the newest window or over a
-        gap simply fall back to exact, which still has every row.
-        """
-        if not self._families:
-            return None
-        try:
-            parsed = parse_query(sql)
-        except Exception:
-            return None  # let the session raise the real error
-        table_ref = getattr(parsed.from_clause, "name", None)
-        for base, family in list(self._families.items()):
-            if table_ref != family["table_name"]:
-                continue
-            bounds = extract_time_bounds(parsed, family["column"])
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            if lo is None:
-                continue  # unbounded past: would need every window ever
-            with self._lock.read():
-                retained = sorted(family["windows"])
-            if not retained:
-                continue
-            width = family["width"]
-            horizon = retained[-1] + width
-            if lo < retained[0]:
-                hi_text = hi if hi is not None else "now"
-                return (
-                    f"time range [{lo}, {hi_text}) on "
-                    f"{family['column']!r} reaches below the retention "
-                    f"horizon of windowed sample {base!r} (oldest "
-                    f"retained window starts at {retained[0]})"
-                )
-            hi_eff = hi if hi is not None else horizon
-            if hi_eff <= lo or hi_eff > horizon:
-                continue  # empty or not-yet-sampled range: exact
-            needed = covering_window_starts(lo, hi_eff, width)
-            if any(start not in family["windows"] for start in needed):
-                continue  # gap window: exact fallback
-            if len(needed) > 1:
-                self._materialize_slide(base, family, needed)
-        return None
-
     def _materialize_slide(
         self, base: str, family: Dict, starts: Sequence[int]
     ) -> None:
         """Merge the members at ``starts`` into the family's slide
-        sample and swap it live (no-op when the registered slide was
-        merged from exactly these versions)."""
+        sample (moments summed exactly, decay applied when the family
+        declares it) and swap it live."""
         slide = base + SLIDE_SUFFIX
-        with self._lock.read():
-            signature = tuple(
-                (start, family["windows"].get(start)) for start in starts
-            )
-        if any(v is None for _, v in signature):
-            return  # member expired between check and merge
-        if self._slides.get(slide) == signature:
+        if self._slide_signature(slide, family, starts) is None:
             return
         with self._maintenance:
-            signature = tuple(
-                (start, family["windows"].get(start)) for start in starts
-            )
-            if any(v is None for _, v in signature):
-                return
-            if self._slides.get(slide) == signature:
+            # Re-check: another writer may have merged or expired a
+            # member while this one waited for the mutex.
+            signature = self._slide_signature(slide, family, starts)
+            if signature is None:
                 return
             members = [
                 self.store.get(window_sample_name(base, start), version)
@@ -1213,7 +1310,9 @@ class WarehouseService:
 
         Family-level build parameters (group-by, tracked columns,
         per-window budget) are recovered from the member itself so a
-        restarted service can keep opening new windows on refresh.
+        restarted service can keep opening new windows on refresh; the
+        family has no decay and unbounded retention until the next
+        :meth:`build_windowed` declares them.
         """
         parsed = parse_window_sample_name(name)
         base = parsed[0] if parsed else name
@@ -1250,8 +1349,3 @@ class WarehouseService:
             name,
             stored.version,
         )
-
-    def _bump(self) -> None:
-        """Invalidate answers; caller must hold the write lock."""
-        self._epoch += 1
-        self._cache.clear()

@@ -1,41 +1,38 @@
 """Scatter-gather front over a sharded sample warehouse.
 
-:class:`ShardedWarehouseService` presents the same surface as
-:class:`~repro.warehouse.service.WarehouseService` — ``query``,
-``query_with_contract``, ``build``, ``refresh``, ``register_table``,
-``stats``, ``health`` — but its samples live in N ``shard-NN/``
-sub-stores, each owned by a shard worker
-(:mod:`repro.serve.worker`). The division of labor:
+:class:`ShardedWarehouseService` is a
+:class:`~repro.warehouse.service.WarehouseFront`: query serving,
+accuracy contracts, the sliding-window range check and introspection
+are the shared read path. Its samples live in N ``shard-NN/``
+sub-stores, each owned by a shard worker (:mod:`repro.serve.worker`),
+so this module supplies the front's hooks and its own maintenance:
 
-* **Routing, contracts, exact execution stay central.** The front
-  keeps the real base tables and an :class:`~repro.aqp.session.AQPSession`
-  whose "samples" are metadata stand-ins: the *merged* shard
-  allocations (exact — strata are never split across shards, so keys,
-  populations, sizes and per-column moments concatenate verbatim)
-  under an empty row table. Sample selection, CV prediction and
-  contract math therefore run the session's own code on the same
-  numbers the unsharded service would see.
-* **Row work scatters.** A decomposable aggregate query fans out to
-  every shard worker concurrently; each returns per-group
-  ``(count, total, total_sq)`` moment blocks over its slice, the front
-  adds them (:func:`~repro.warehouse.partials.merge_partials`) and
-  finalizes one answer table — numerically the unsharded answer up to
-  float summation order. Non-decomposable queries (MEDIAN, HAVING,
-  joins, ...) execute exactly at the front.
+* **Routing and exact execution stay central.** The front keeps the
+  real base tables, and its routing session's "samples" are metadata
+  stand-ins: the *merged* shard allocations (exact — strata are never
+  split across shards, so keys, populations, sizes and per-column
+  moments concatenate verbatim) under an empty row table.
+* **Row work scatters** (the ``_answer`` hook). A decomposable
+  aggregate query fans out to every shard worker concurrently; each
+  returns per-group ``(count, total, total_sq)`` moment blocks over its
+  slice, the front adds them
+  (:func:`~repro.warehouse.partials.merge_partials`) and finalizes one
+  answer table — numerically the unsharded answer up to float
+  summation order. Non-decomposable queries (MEDIAN, HAVING, joins,
+  ...) execute exactly at the front. A sliding-window slide (the
+  ``_materialize_slide`` hook) is a merged stand-in too; its answers
+  scatter once per covered window member.
 * **Maintenance parallelizes per shard.** A refresh batch is
   partitioned by stratum hash and folded into every shard at once,
   each worker hot-swapping its own new version; rebuild escalation is
   decided centrally (a shard only sees its strata) and pushed back
   down as freshly split pieces.
-
 * **Column projection rides the scatter.** Workers adopt their
-  sub-store samples lazily under the ``mmap`` backend (tables hold
-  memory-mapped columns that load on first touch), and
+  sub-store samples lazily under the ``mmap`` backend, and
   :func:`~repro.warehouse.partials.compute_partials` narrows each
   sample to the columns the decomposed query references before
-  filtering — so a worker's resident set is the hot columns of its
-  traffic, those pages live in the OS page cache, and N workers on
-  one host share one physical copy rather than N deserialized ones.
+  filtering — so N workers on one host share one page-cache copy of
+  the hot columns rather than N deserialized ones.
 
 ``--shards 1`` deployments should not construct this class at all —
 the CLI routes them to the plain ``WarehouseService`` so the
@@ -45,17 +42,14 @@ single-store layout stays byte-identical to previous releases.
 from __future__ import annotations
 
 import contextvars
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..aqp.session import AQPResult, AQPSession, RouteDecision
+from ..aqp.session import AQPResult, RouteDecision
 from ..core.cvopt import CVOptSampler
 from ..core.sample import StratifiedSample
 from ..core.spec import GroupByQuerySpec
-from ..engine.groupcache import default_group_code_cache
 from ..engine.sql.errors import QueryExecutionError
 from ..engine.sql.parser import parse_query
 from ..engine.table import Table
@@ -64,12 +58,6 @@ from ..serve.worker import (
     ProcessShardClient,
     ShardWorkerError,
 )
-from .contracts import (
-    AccuracyContract,
-    AccuracyContractViolation,
-    ContractedResult,
-    build_contract,
-)
 from .maintenance import (
     BuildReport,
     RefreshReport,
@@ -77,18 +65,9 @@ from .maintenance import (
     _fresh_lineage,
     staleness_from_lineage,
 )
-from ..engine.sql.planner import extract_time_bounds
 from ..obs import current_trace_id, default_registry, default_tracer
 from .partials import decompose, finalize_partials, merge_partials
-from .service import (
-    LRUCache,
-    RWLock,
-    WindowedRefreshReport,
-    _ANSWER_CACHE,
-    _QUERIES,
-    _QUERY_SECONDS,
-    _route_label,
-)
+from .service import WarehouseFront, WindowedRefreshReport
 from .sharding import (
     SHARD_SCHEME,
     ShardedSampleStore,
@@ -97,7 +76,6 @@ from .sharding import (
 )
 from .windows import (
     SLIDE_SUFFIX,
-    covering_window_starts,
     merge_window_allocations,
     parse_window,
     parse_window_sample_name,
@@ -120,7 +98,26 @@ _SHARD_FALLBACK = default_registry().counter(
 )
 
 
-class ShardedWarehouseService:
+class _StandIn(StratifiedSample):
+    """Routing-only sample: a merged allocation over no rows, reporting
+    the row count its shards hold."""
+
+    def __init__(self, info: Dict) -> None:
+        super().__init__(
+            table=Table({}),
+            allocation=info["allocation"],
+            method=info["method"],
+            source_rows=info["source_rows"],
+            budget=info["budget"],
+        )
+        self.rows = int(info["rows"])
+
+    @property
+    def num_rows(self) -> int:
+        return self.rows
+
+
+class ShardedWarehouseService(WarehouseFront):
     """Thread-safe scatter-gather endpoint over N shard workers.
 
     ``store`` is a :class:`~repro.warehouse.sharding.ShardedSampleStore`
@@ -153,23 +150,14 @@ class ShardedWarehouseService:
         self.num_shards = self.store.num_shards
         self.cv_degradation_threshold = float(cv_degradation_threshold)
         self.keep_versions = int(keep_versions)
-        self._session = AQPSession(tables)
-        self._lock = RWLock()
-        self._maintenance = threading.Lock()
-        self._cache = LRUCache(cache_size)
-        self._epoch = 0
-        self._meta: Dict[str, Dict] = {}  # live merged per-sample view
+        super().__init__(tables, cache_size)
+        #: Live merged per-sample view (a slide's also lists the
+        #: window ``members`` its answers fan out to). Windowed families
+        #: are rebuilt from the shards' window-tagged metas, without
+        #: decay or retention: partials recompute from raw sample rows,
+        #: so per-window weight scaling cannot apply.
+        self._meta: Dict[str, Dict] = {}
         self._orphans: Dict[str, Dict] = {}  # base table not registered
-        #: Windowed families rebuilt from the shards' window-tagged
-        #: metas: ``base -> {"column", "width", "table_name",
-        #: "group_by", "value_columns", "budget",
-        #: "windows": {start: member name}}``. Decay and retention are
-        #: unsupported on the sharded path (partials recompute from raw
-        #: sample rows, so per-window weight scaling cannot apply).
-        self._window_families: Dict[str, Dict] = {}
-        #: Members behind each registered slide stand-in, for fan-out.
-        self._slide_members: Dict[str, List[str]] = {}
-        self.queries_served = 0
         self._pool = ThreadPoolExecutor(
             max_workers=max(self.num_shards, 1),
             thread_name_prefix="shard-fanout",
@@ -298,35 +286,30 @@ class ShardedWarehouseService:
                     self._session.drop_sample(name)
             self._meta = {}
             self._orphans = {}
+            self._versions = {}
+            self._lineages = {}
             # Slides are merged views over members; any structural
             # change invalidates them, and the next query re-merges.
-            self._window_families = {}
-            self._slide_members = {}
+            self._families = {}
+            self._slides = {}
             for name, info in merged.items():
                 table_name = info["table_name"]
                 if table_name and table_name in self._session.tables:
-                    stand_in = StratifiedSample(
-                        table=Table({}),
-                        allocation=info["allocation"],
-                        method=info["method"],
-                        source_rows=info["source_rows"],
-                        budget=info["budget"],
-                    )
                     self._session.register_sample(
-                        name, stand_in, table_name, replace=True,
+                        name, _StandIn(info), table_name, replace=True,
                         window=info["window"],
                     )
                     self._meta[name] = info
-                    if info["window"] is not None:
-                        self._adopt_window_meta(name, info)
+                    self._versions[name] = info["version"]
+                    self._lineages[name] = info["lineage"]
                 else:
                     self._orphans[name] = info
-                    # Refresh rolls windows forward against the shard
-                    # stores alone, so the family registry must exist
-                    # even while its members are orphaned (no base
-                    # table registered — maintenance-only processes).
-                    if info["window"] is not None:
-                        self._adopt_window_meta(name, info)
+                # Refresh rolls windows forward against the shard
+                # stores alone, so the family registry must exist even
+                # while its members are orphaned (no base table
+                # registered — maintenance-only processes).
+                if info["window"] is not None:
+                    self._adopt_window_meta(name, info)
             self._bump()
 
     def _adopt_window_meta(self, name: str, info: Dict) -> None:
@@ -336,7 +319,7 @@ class ShardedWarehouseService:
         parsed = parse_window_sample_name(name)
         base = parsed[0] if parsed else name
         lineage = info["lineage"]
-        family = self._window_families.setdefault(
+        family = self._families.setdefault(
             base,
             {
                 "column": str(window["column"]),
@@ -350,7 +333,7 @@ class ShardedWarehouseService:
                 "windows": {},
             },
         )
-        family["windows"][int(window["start"])] = name
+        family["windows"][int(window["start"])] = info["version"]
 
     # ------------------------------------------------------------------
     # registration / building
@@ -379,34 +362,15 @@ class ShardedWarehouseService:
         """Two-pass CVOPT build at the front, split by stratum hash,
         committed to every shard sub-store, then hot-swapped live on
         every worker."""
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
+        params = _build_params(table_name, group_by, value_columns, budget)
         with self._maintenance:
             with self._lock.read():
                 table = self._session.tables.get(table_name)
             if table is None:
                 raise KeyError(f"unknown base table {table_name!r}")
-            spec = GroupByQuerySpec(
-                group_by=tuple(group_by), aggregates=tuple(value_columns)
-            )
-            sample = CVOptSampler([spec]).sample(table, budget, seed=seed)
-            lineage = _fresh_lineage(value_columns, sample.source_rows)
-            versions = self.store.put(
-                name, sample, table_name=table_name, lineage=lineage
-            )
-            self.store.prune(name, keep=self.keep_versions)
-            self._scatter("reload", [{"name": name}] * self.num_shards)
+            report = self._commit(name, table, params, seed)
         self.refresh_metadata()
-        return BuildReport(
-            name=name,
-            version=_join_versions(versions),
-            rows=sample.num_rows,
-            strata=sample.allocation.num_strata,
-            budget=sample.budget,
-            source_rows=sample.source_rows,
-            columns=list(value_columns),
-        )
+        return report
 
     def build_windowed(
         self,
@@ -440,13 +404,8 @@ class ShardedWarehouseService:
             raise ValueError(
                 "retention is unsupported on a sharded warehouse"
             )
-        value_columns = list(dict.fromkeys(value_columns))
-        if not value_columns:
-            raise ValueError("need at least one value column")
-        width = parse_window(window)
-        report = WindowedBuildReport(
-            name=name, column=ts_column, width=width
-        )
+        family = _build_params(table_name, group_by, value_columns, budget)
+        family.update(column=ts_column, width=parse_window(window))
         with self._maintenance:
             with self._lock.read():
                 table = self._session.tables.get(table_name)
@@ -456,52 +415,7 @@ class ShardedWarehouseService:
                 raise KeyError(
                     f"timestamp column {ts_column!r} not in table"
                 )
-            spec = GroupByQuerySpec(
-                group_by=tuple(group_by), aggregates=tuple(value_columns)
-            )
-            for start, part in partition_by_window(
-                table, ts_column, width
-            ).items():
-                member = window_sample_name(name, start)
-                sample = CVOptSampler([spec]).sample(
-                    part, budget, seed=seed
-                )
-                window_block = {
-                    "column": ts_column,
-                    "width": width,
-                    "start": int(start),
-                    "end": int(start) + width,
-                }
-                lineage = _fresh_lineage(
-                    value_columns, sample.source_rows
-                )
-                lineage["window"] = dict(window_block)
-                lineage["max_event_ts"] = int(
-                    part.column(ts_column).values_numeric().max()
-                )
-                versions = self.store.put(
-                    member,
-                    sample,
-                    table_name=table_name,
-                    lineage=lineage,
-                    window=window_block,
-                )
-                self.store.prune(member, keep=self.keep_versions)
-                self._scatter(
-                    "reload", [{"name": member}] * self.num_shards
-                )
-                report.starts.append(int(start))
-                report.windows.append(
-                    BuildReport(
-                        name=member,
-                        version=_join_versions(versions),
-                        rows=sample.num_rows,
-                        strata=sample.allocation.num_strata,
-                        budget=sample.budget,
-                        source_rows=sample.source_rows,
-                        columns=list(value_columns),
-                    )
-                )
+            report = self._build_fresh_windows(name, family, table, seed)
         self.refresh_metadata()
         return report
 
@@ -531,7 +445,7 @@ class ShardedWarehouseService:
         rolled forward (see :meth:`_refresh_windowed`); the return
         value is then a :class:`WindowedRefreshReport`.
         """
-        if name in self._window_families:
+        if name in self._families:
             return self._refresh_windowed(name, batch, seed=seed)
         with self._maintenance:
             info = self._meta.get(name) or self._orphans.get(name)
@@ -591,7 +505,7 @@ class ShardedWarehouseService:
         addressed to closed windows are frozen out of the samples but
         still grow the front's base table so exact answers see them.
         """
-        family = self._window_families[name]
+        family = self._families[name]
         column = family["column"]
         width = family["width"]
         table_name = family["table_name"]
@@ -613,10 +527,11 @@ class ShardedWarehouseService:
                 report.frozen_rows += part.num_rows
                 unsampled_rows.append(part)
             elif start in family["windows"]:
-                member = family["windows"][start]
                 # The ordinary sharded member refresh also grows the
                 # base table by this slice.
-                sub = self.refresh(member, part, seed=seed)
+                sub = self.refresh(
+                    window_sample_name(name, start), part, seed=seed
+                )
                 report.refreshed.append(start)
                 report.reports.append(sub)
                 report.version = sub.version
@@ -627,9 +542,8 @@ class ShardedWarehouseService:
             fresh = fresh_parts[0]
             for part in fresh_parts[1:]:
                 fresh = fresh.concat(part)
-            built = self._build_fresh_windows(
-                name, family, fresh, seed=seed
-            )
+            with self._maintenance:
+                built = self._build_fresh_windows(name, family, fresh, seed)
             report.opened.extend(built.starts)
             report.reports.extend(built.windows)
             if built.windows:
@@ -652,64 +566,34 @@ class ShardedWarehouseService:
         return report
 
     def _build_fresh_windows(
-        self, name: str, family: Dict, table: Table, seed: int = 0
+        self, name: str, family: Dict, table: Table, seed: int
     ) -> WindowedBuildReport:
-        """Central per-window builds for windows a batch opened, split
-        to the shard sub-stores and reloaded everywhere."""
+        """One central build per tumbling window ``table``'s rows fall
+        in, each committed as a family member. Caller holds the
+        maintenance mutex."""
         column = family["column"]
         width = family["width"]
-        value_columns = list(family["value_columns"])
-        report = WindowedBuildReport(
-            name=name, column=column, width=width
-        )
-        spec = GroupByQuerySpec(
-            group_by=tuple(family["group_by"]),
-            aggregates=tuple(value_columns),
-        )
-        with self._maintenance:
-            for start, part in partition_by_window(
-                table, column, width
-            ).items():
-                member = window_sample_name(name, start)
-                sample = CVOptSampler([spec]).sample(
-                    part, family["budget"], seed=seed
-                )
-                window_block = {
-                    "column": column,
-                    "width": width,
-                    "start": int(start),
-                    "end": int(start) + width,
-                }
-                lineage = _fresh_lineage(
-                    value_columns, sample.source_rows
-                )
-                lineage["window"] = dict(window_block)
-                lineage["max_event_ts"] = int(
+        report = WindowedBuildReport(name=name, column=column, width=width)
+        for start, part in partition_by_window(table, column, width).items():
+            window_block = {
+                "column": column,
+                "width": width,
+                "start": int(start),
+                "end": int(start) + width,
+            }
+            lineage = {
+                "window": dict(window_block),
+                "max_event_ts": int(
                     part.column(column).values_numeric().max()
+                ),
+            }
+            report.starts.append(int(start))
+            report.windows.append(
+                self._commit(
+                    window_sample_name(name, start), part, family, seed,
+                    lineage=lineage, window=window_block,
                 )
-                versions = self.store.put(
-                    member,
-                    sample,
-                    table_name=family["table_name"],
-                    lineage=lineage,
-                    window=window_block,
-                )
-                self.store.prune(member, keep=self.keep_versions)
-                self._scatter(
-                    "reload", [{"name": member}] * self.num_shards
-                )
-                report.starts.append(int(start))
-                report.windows.append(
-                    BuildReport(
-                        name=member,
-                        version=_join_versions(versions),
-                        rows=sample.num_rows,
-                        strata=sample.allocation.num_strata,
-                        budget=sample.budget,
-                        source_rows=sample.source_rows,
-                        columns=list(value_columns),
-                    )
-                )
+            )
         return report
 
     def _rebuild(
@@ -723,97 +607,81 @@ class ShardedWarehouseService:
             lineage.get("value_columns")
             or ([lineage["value_column"]] if "value_column" in lineage else [])
         ) or list(info["allocation"].stats.columns if info["allocation"].stats else [])
-        spec = GroupByQuerySpec(
-            group_by=tuple(info["allocation"].by),
-            aggregates=tuple(value_columns),
+        params = _build_params(
+            table_name, info["allocation"].by, value_columns, info["budget"]
         )
-        sample = CVOptSampler([spec]).sample(
-            full_table, info["budget"], seed=seed
+        built = self._commit(
+            name, full_table, params, seed,
+            lineage={
+                "action": "rebuild",
+                "refresh_count": int(lineage.get("refresh_count", 0)) + 1,
+            },
         )
-        fresh = _fresh_lineage(value_columns, sample.source_rows)
-        fresh["action"] = "rebuild"
-        fresh["refresh_count"] = int(lineage.get("refresh_count", 0)) + 1
-        versions = self.store.put(
-            name, sample, table_name=table_name, lineage=fresh
-        )
-        self.store.prune(name, keep=self.keep_versions)
-        self._scatter("reload", [{"name": name}] * self.num_shards)
         return RefreshReport(
             name=name,
-            version=_join_versions(versions),
+            version=built.version,
             action="rebuild",
             rows_ingested=0,
-            source_rows=sample.source_rows,
-            sample_rows=sample.num_rows,
+            source_rows=built.source_rows,
+            sample_rows=built.rows,
             new_strata=0,
             staleness=0.0,
             drift=1.0,
             needs_rebuild=False,
-            columns=value_columns,
+            columns=params["value_columns"],
+        )
+
+    def _commit(
+        self, name: str, table: Table, params: Dict, seed: int,
+        lineage: Optional[Dict] = None, window: Optional[Dict] = None,
+    ) -> BuildReport:
+        """Two-pass CVOPT build of ``name`` from ``table`` at the front
+        (``params`` as :func:`_build_params` makes them; ``lineage``
+        entries override the fresh lineage), split by stratum hash,
+        committed to every shard sub-store, then hot-swapped live on
+        every worker. Caller holds the maintenance mutex."""
+        value_columns = params["value_columns"]
+        spec = GroupByQuerySpec(
+            group_by=tuple(params["group_by"]),
+            aggregates=tuple(value_columns),
+        )
+        sample = CVOptSampler([spec]).sample(
+            table, params["budget"], seed=seed
+        )
+        fresh = _fresh_lineage(value_columns, sample.source_rows)
+        fresh.update(lineage or {})
+        versions = self.store.put(
+            name, sample, table_name=params["table_name"], lineage=fresh,
+            window=window,
+        )
+        self.store.prune(name, keep=self.keep_versions)
+        self._scatter("reload", [{"name": name}] * self.num_shards)
+        return BuildReport(
+            name=name,
+            version=_join_versions(versions),
+            rows=sample.num_rows,
+            strata=sample.allocation.num_strata,
+            budget=sample.budget,
+            source_rows=sample.source_rows,
+            columns=list(value_columns),
         )
 
     # ------------------------------------------------------------------
-    # serving
+    # serving hooks
     # ------------------------------------------------------------------
-    def _ensure_slide(self, sql: str) -> Optional[str]:
-        """Register the metadata stand-in for the sliding-window set
-        ``sql`` needs (mirror of the unsharded service's slide
-        materialization, without rows: the merged-across-shards member
-        allocations are merged again across windows, and query fan-out
-        later scatters partials once per covered member).
-
-        Returns a violation message when the range reaches below the
-        oldest retained window, else ``None``.
-        """
-        if not self._window_families:
-            return None
-        try:
-            parsed = parse_query(sql)
-        except Exception:
-            return None  # let the session raise the real error
-        table_ref = getattr(parsed.from_clause, "name", None)
-        for base, family in list(self._window_families.items()):
-            if table_ref != family["table_name"]:
-                continue
-            bounds = extract_time_bounds(parsed, family["column"])
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            if lo is None:
-                continue
-            with self._lock.read():
-                retained = sorted(family["windows"])
-            if not retained:
-                continue
-            width = family["width"]
-            horizon = retained[-1] + width
-            if lo < retained[0]:
-                hi_text = hi if hi is not None else "now"
-                return (
-                    f"time range [{lo}, {hi_text}) on "
-                    f"{family['column']!r} reaches below the retention "
-                    f"horizon of windowed sample {base!r} (oldest "
-                    f"retained window starts at {retained[0]})"
-                )
-            hi_eff = hi if hi is not None else horizon
-            if hi_eff <= lo or hi_eff > horizon:
-                continue
-            starts = covering_window_starts(lo, hi_eff, width)
-            if any(s not in family["windows"] for s in starts):
-                continue
-            if len(starts) > 1:
-                self._register_slide(base, family, starts)
-        return None
-
-    def _register_slide(
+    def _materialize_slide(
         self, base: str, family: Dict, starts: Sequence[int]
     ) -> None:
-        """Merge member metadata into a routable slide stand-in."""
+        """Register a routable slide stand-in: the covered members'
+        merged-across-shards allocations, merged again across windows.
+        No rows move; :meth:`_answer` scatters partials once per
+        member."""
         slide = base + SLIDE_SUFFIX
-        members = [family["windows"][s] for s in starts]
+        signature = self._slide_signature(slide, family, starts)
+        if signature is None:
+            return
+        members = [window_sample_name(base, s) for s in starts]
         with self._lock.read():
-            if self._slide_members.get(slide) == members:
-                return
             infos = [self._meta.get(m) for m in members]
         if any(info is None for info in infos):
             return  # member mid-publish; next query retries
@@ -830,13 +698,6 @@ class ShardedWarehouseService:
         lineage["action"] = "window-merge"
         lineage["window"] = dict(window_block)
         lineage["windows"] = [int(s) for s in starts]
-        stand_in = StratifiedSample(
-            table=Table({}),
-            allocation=allocation,
-            method=infos[0]["method"],
-            source_rows=sum(info["source_rows"] for info in infos),
-            budget=sum(info["budget"] for info in infos),
-        )
         info = {
             "table_name": family["table_name"],
             "allocation": allocation,
@@ -844,143 +705,53 @@ class ShardedWarehouseService:
             "version": "+".join(info["version"] for info in infos),
             "lineage": lineage,
             "window": window_block,
-            "method": stand_in.method,
+            "method": infos[0]["method"],
             "rows": sum(i["rows"] for i in infos),
-            "source_rows": stand_in.source_rows,
-            "budget": stand_in.budget,
+            "source_rows": sum(i["source_rows"] for i in infos),
+            "budget": sum(i["budget"] for i in infos),
+            "members": members,
         }
         with self._lock.write():
             self._session.register_sample(
                 slide,
-                stand_in,
+                _StandIn(info),
                 family["table_name"],
                 replace=True,
                 window=window_block,
             )
             self._meta[slide] = info
-            self._slide_members[slide] = members
+            self._versions[slide] = info["version"]
+            self._lineages[slide] = lineage
+            self._slides[slide] = signature
             self._bump()
 
-    def query(self, sql: str, mode: str = "auto") -> AQPResult:
-        """Answer ``sql`` by scatter-gather when the router picks a
-        sample and the query decomposes; exactly at the front
-        otherwise. Memoized per store epoch."""
-        if mode not in ("auto", "approx", "exact"):
-            raise ValueError("mode must be 'auto', 'approx' or 'exact'")
-        t0 = time.perf_counter()
-        self._ensure_slide(sql)
-        key = (self._epoch, mode, sql)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        result = self._answer(sql, mode)
-        self.queries_served += 1
-        if key[0] == self._epoch:
-            self._cache.put(key, result)
-        _QUERIES.inc(route=_route_label(result.route))
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return result
-
-    def query_with_contract(
-        self,
-        sql: str,
-        mode: str = "auto",
-        max_cv: Optional[float] = None,
-        max_staleness: Optional[float] = None,
-        on_violation: str = "fallback",
-    ) -> ContractedResult:
-        """Answer with an accuracy contract — same shape, semantics and
-        violation handling as the unsharded service's method; the
-        contract's ``sample_version`` names every shard's served
-        version and its CV figures come from the merged allocation."""
-        if on_violation not in ("fallback", "reject"):
-            raise ValueError("on_violation must be 'fallback' or 'reject'")
-        if mode not in ("auto", "approx", "exact"):
-            raise ValueError("mode must be 'auto', 'approx' or 'exact'")
-        t0 = time.perf_counter()
-        below_retention = self._ensure_slide(sql)
-        if below_retention is not None and (
-            on_violation == "reject" or mode == "approx"
-        ):
-            constraints: Dict[str, float] = {}
-            if max_cv is not None:
-                constraints["max_cv"] = float(max_cv)
-            if max_staleness is not None:
-                constraints["max_staleness"] = float(max_staleness)
-            _QUERIES.inc(route="rejected")
-            raise AccuracyContractViolation(
-                [below_retention],
-                AccuracyContract(
-                    executed="exact",
-                    fallback_exact=False,
-                    reason=below_retention,
-                    constraints=constraints,
-                    satisfied=False,
-                ),
-            )
-        key = ("contract", self._epoch, mode, sql, max_cv, max_staleness,
-               on_violation)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.queries_served += 1
-            _ANSWER_CACHE.inc(result="hit")
-            _TRACER.annotate(answer_cache="hit")
-            _QUERIES.inc(route="cached")
-            _QUERY_SECONDS.observe(time.perf_counter() - t0)
-            return cached
-        _ANSWER_CACHE.inc(result="miss")
-        _TRACER.annotate(answer_cache="miss")
-        result = self._answer(sql, mode, max_cv=max_cv)
-        route_label = _route_label(result.route)
-        with _TRACER.span("warehouse.contract"):
-            contract, violations = self._contract_for(
-                result.route, mode, max_cv, max_staleness
-            )
-        if violations:
-            if on_violation == "reject" or mode == "approx":
-                _QUERIES.inc(route="rejected")
-                raise AccuracyContractViolation(violations, contract)
-            with _TRACER.span("warehouse.fallback_exact"):
-                result = self._exact(sql)
-            route_label = "fallback"
-            contract = AccuracyContract(
-                executed="exact",
-                fallback_exact=True,
-                reason="accuracy constraints unsatisfied by stored "
-                "samples (" + "; ".join(violations) + "); executed "
-                "exactly",
-                constraints=contract.constraints,
-                satisfied=True,
-            )
-        self.queries_served += 1
-        answer = ContractedResult(result=result, contract=contract)
-        if key[1] == self._epoch:
-            self._cache.put(key, answer)
-        _QUERIES.inc(route=route_label)
-        _QUERY_SECONDS.observe(time.perf_counter() - t0)
-        return answer
-
-    def execute(self, sql: str) -> Table:
-        """Exact execution over the front's base tables."""
-        return self.query(sql, mode="exact").table
-
-    def _exact(self, sql: str) -> AQPResult:
-        with self._lock.read():
-            return self._session.query(sql, mode="exact")
-
-    def _answer(
-        self, sql: str, mode: str, max_cv: Optional[float] = None
+    def _exact(
+        self, sql: str, route: Optional[RouteDecision] = None,
+        start: Optional[float] = None,
     ) -> AQPResult:
+        """Exact execution at the front; with ``route`` the result
+        carries that decision and is timed from ``start``."""
+        with self._lock.read():
+            result = self._session.query(sql, mode="exact")
+        if route is None:
+            return result
+        return AQPResult(
+            table=result.table,
+            route=route,
+            plan_cached=result.plan_cached,
+            elapsed_seconds=time.perf_counter() - start,
+        )
+
+    def _answer(self, sql: str, mode: str, max_cv: Optional[float] = None):
+        """Route at the front, scatter partials to every shard, merge.
+
+        Exact when ``mode`` asks for it, when the router picks no
+        sample, when the query does not decompose into per-shard
+        partials, or (outside ``approx`` mode) when a shard fails.
+        """
         start = time.perf_counter()
         if mode == "exact":
-            return self._exact(sql)
+            return self._exact(sql), None
         with _TRACER.span("aqp.parse"):
             parsed = parse_query(sql)
             dq = decompose(parsed)
@@ -996,40 +767,27 @@ class ShardedWarehouseService:
                     "query does not decompose into per-shard partials"
                 )
             _SHARD_FALLBACK.inc(reason="non_decomposable")
-            result = self._exact(sql)
             route = RouteDecision(
                 None, None, None,
                 "query does not decompose into per-shard partials; "
                 "executing exactly",
             )
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
+            return self._exact(sql, route, start), None
         with self._lock.read():
             with _TRACER.span("aqp.route"):
                 route = self._session.route(parsed, mode, max_cv)
-            sample_name = route.sample_name
-        _TRACER.annotate(route=route.reason, sample=sample_name)
+            snapshot = self._snapshot(route)
+            # A slide stand-in has no rows anywhere; fan out once per
+            # covered window member instead. Partials are additive
+            # across shards *and* windows (disjoint rows either way),
+            # so one merge over the whole response set is exact.
+            fanout_names = self._meta.get(route.sample_name, {}).get(
+                "members", [route.sample_name]
+            )
+        _TRACER.annotate(route=route.reason, sample=route.sample_name)
         if not route.approximate:
-            result = self._exact(sql)
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
+            return self._exact(sql, route, start), None
         trace_id = current_trace_id()
-        # A slide stand-in has no rows anywhere; fan out once per
-        # covered window member instead. Partials are additive across
-        # shards *and* windows (disjoint rows either way), so one merge
-        # over the whole response set is exact.
-        with self._lock.read():
-            fanout_names = self._slide_members.get(
-                sample_name, [sample_name]
-            )
         _TRACER.annotate(
             shard_fanout=self.num_shards * len(fanout_names)
         )
@@ -1052,17 +810,11 @@ class ShardedWarehouseService:
             if mode == "approx":
                 raise
             _SHARD_FALLBACK.inc(reason="worker_error")
-            result = self._exact(sql)
             route = RouteDecision(
                 None, None, None,
                 f"shard fan-out failed ({exc}); executing exactly",
             )
-            return AQPResult(
-                table=result.table,
-                route=route,
-                plan_cached=result.plan_cached,
-                elapsed_seconds=time.perf_counter() - start,
-            )
+            return self._exact(sql, route, start), None
         if trace_id is not None:
             _TRACER.graft(
                 [s for r in responses for s in r.get("spans", [])]
@@ -1072,112 +824,30 @@ class ShardedWarehouseService:
                 [r["partials"] for r in responses], len(dq.agg_calls)
             )
             table = finalize_partials(dq, merged)
-        return AQPResult(
+        result = AQPResult(
             table=table,
             route=route,
             plan_cached=False,
             elapsed_seconds=time.perf_counter() - start,
         )
-
-    def _contract_for(
-        self,
-        route: RouteDecision,
-        mode: str,
-        max_cv: Optional[float],
-        max_staleness: Optional[float],
-    ):
-        if not route.approximate:
-            return build_contract(
-                route, mode, max_cv, max_staleness,
-                sample_version=None, lineage={}, staleness=0.0,
-                group_keys=None,
-            )
-        with self._lock.read():
-            info = self._meta.get(route.sample_name, {})
-            lineage = info.get("lineage", {})
-            allocation = info.get("allocation")
-        return build_contract(
-            route, mode, max_cv, max_staleness,
-            sample_version=info.get("version"),
-            lineage=lineage,
-            staleness=staleness_from_lineage(lineage),
-            group_keys=(
-                tuple(tuple(k) for k in allocation.keys)
-                if allocation is not None
-                else None
-            ),
-            window_bounds=route.window_bounds,
-        )
+        return result, snapshot
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def samples(self) -> List[str]:
-        with self._lock.read():
-            return list(self._meta)
-
-    def served_versions(self) -> Dict[str, str]:
-        with self._lock.read():
-            return {
-                name: info["version"] for name, info in self._meta.items()
-            }
-
-    def served_lineages(self) -> Dict[str, Dict]:
-        with self._lock.read():
-            return {
-                name: dict(info["lineage"])
-                for name, info in self._meta.items()
-            }
-
     def sample_summaries(self) -> List[Dict]:
-        with self._lock.read():
-            out = []
-            for name, info in self._meta.items():
-                lineage = info["lineage"]
-                tracked = list(lineage.get("value_columns") or [])
-                out.append(
-                    {
-                        "name": name,
-                        "version": info["version"],
-                        "rows": info["rows"],
-                        "strata": info["allocation"].num_strata,
-                        "by": list(info["allocation"].by),
-                        "columns": tracked,
-                        "primary_column": tracked[0] if tracked else None,
-                        "staleness": staleness_from_lineage(lineage),
-                        "drift": float(lineage.get("drift", 1.0)),
-                        "drift_by_column": {
-                            c: float(d)
-                            for c, d in (
-                                lineage.get("drift_by_column") or {}
-                            ).items()
-                        },
-                        "needs_rebuild": bool(
-                            lineage.get("needs_rebuild", False)
-                        ),
-                        "window": info.get("window"),
-                        "shards": self.num_shards,
-                    }
-                )
-            return out
+        summaries = super().sample_summaries()
+        for summary in summaries:
+            summary["shards"] = self.num_shards
+        return summaries
 
     def health(self) -> Dict:
-        with self._lock.read():
-            return {
-                "status": "ok",
-                "epoch": self._epoch,
-                "tables": len(self._session.tables),
-                "samples": len(self._meta),
-                "queries_served": self.queries_served,
-                "shards": {
-                    "count": self.num_shards,
-                    "alive": sum(1 for c in self.clients if c.alive),
-                },
-            }
+        health = super().health()
+        health["shards"] = {
+            "count": self.num_shards,
+            "alive": sum(1 for c in self.clients if c.alive),
+        }
+        return health
 
     def stats(self) -> Dict:
         """Front counters plus a per-shard block gathered from every
@@ -1192,40 +862,27 @@ class ShardedWarehouseService:
                     {"shard": client.shard_index, "error": str(exc)}
                 )
         with self._lock.read():
-            return {
-                "epoch": self._epoch,
-                "queries_served": self.queries_served,
-                "store": {
-                    "root": str(self.store.root),
-                    "shards": {
-                        "count": self.num_shards,
-                        "scheme": SHARD_SCHEME,
-                    },
-                },
-                "answer_cache": self._cache.counters(),
-                "groupcode_cache": default_group_code_cache().counters(),
-                "tables": {
-                    name: table.num_rows
-                    for name, table in self._session.tables.items()
-                },
-                "samples": {
-                    name: {
-                        "version": info["version"],
-                        "versions": list(info["versions"]),
-                        "rows": info["rows"],
-                        "strata": info["allocation"].num_strata,
-                        "by": list(info["allocation"].by),
-                        "staleness": staleness_from_lineage(
-                            info["lineage"]
-                        ),
-                        "needs_rebuild": bool(
-                            info["lineage"].get("needs_rebuild", False)
-                        ),
-                    }
-                    for name, info in self._meta.items()
-                },
-                "shards": shard_stats,
+            stats = self._serving_stats()
+            stats["store"] = {
+                "root": str(self.store.root),
+                "shards": {"count": self.num_shards, "scheme": SHARD_SCHEME},
             }
+            stats["samples"] = {
+                name: {
+                    "version": info["version"],
+                    "versions": list(info["versions"]),
+                    "rows": info["rows"],
+                    "strata": info["allocation"].num_strata,
+                    "by": list(info["allocation"].by),
+                    "staleness": staleness_from_lineage(info["lineage"]),
+                    "needs_rebuild": bool(
+                        info["lineage"].get("needs_rebuild", False)
+                    ),
+                }
+                for name, info in self._meta.items()
+            }
+            stats["shards"] = shard_stats
+            return stats
 
     def close(self) -> None:
         """Shut down every worker and the fan-out pool."""
@@ -1242,17 +899,30 @@ class ShardedWarehouseService:
     def __exit__(self, *exc):
         self.close()
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _bump(self) -> None:
-        self._epoch += 1
-        self._cache.clear()
-
 
 # ----------------------------------------------------------------------
 # merge helpers
 # ----------------------------------------------------------------------
+def _build_params(
+    table_name: Optional[str],
+    group_by: Sequence[str],
+    value_columns: Sequence[str],
+    budget: int,
+) -> Dict:
+    """What a central build needs besides the rows — the same keys a
+    windowed family records, so a family doubles as its members'
+    build parameters."""
+    value_columns = list(dict.fromkeys(value_columns))
+    if not value_columns:
+        raise ValueError("need at least one value column")
+    return {
+        "table_name": table_name,
+        "group_by": list(group_by),
+        "value_columns": value_columns,
+        "budget": int(budget),
+    }
+
+
 def _join_versions(versions: Sequence[str]) -> str:
     """One display string for N per-shard versions: the common version
     when they agree (the usual case after a build/rebuild), else an
