@@ -32,6 +32,7 @@ base tables — same pipeline, no weighting.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
@@ -89,6 +90,12 @@ _MAX_BOUND_PLANS = 64
 #: max_cv constraint, which HTTP clients control — without a bound a
 #: caller varying max_cv per request would grow the dict forever.
 _MAX_CACHED_SHAPES = 256
+
+#: Process-wide serial for base-table cache tokens: every registration
+#: is a new token, so cached group codes of a replaced table (a
+#: refresh's grown table, say) can never be served again, and two
+#: sessions in one process (in-process shard workers) never share one.
+_TABLE_SERIAL = itertools.count()
 
 _TRACER = default_tracer()
 _PLAN_CACHE = default_registry().counter(
@@ -188,7 +195,10 @@ class AQPSession:
         tables: Optional[Mapping[str, Table]] = None,
         catalog: Optional[SampleCatalog] = None,
     ) -> None:
-        self.tables: Dict[str, Table] = dict(tables or {})
+        self.tables: Dict[str, Table] = {
+            name: _stamped(name, table)
+            for name, table in (tables or {}).items()
+        }
         self.catalog = catalog if catalog is not None else SampleCatalog()
         self._sample_sources: Dict[str, str] = {}  # sample -> base table
         #: Event-time coverage of windowed samples:
@@ -207,11 +217,13 @@ class AQPSession:
         """Register (or replace) base table ``name``.
 
         Invalidates the compiled-plan cache, since cached plans may
-        scan the table being replaced. Not thread-safe on its own — the
-        warehouse layer serializes structural changes behind a write
-        lock.
+        scan the table being replaced. The session keeps a shallow view
+        of ``table`` stamped with a fresh group-code cache token, so
+        exact group-bys over it reuse cached group codes. Not
+        thread-safe on its own — the warehouse layer serializes
+        structural changes behind a write lock.
         """
-        self.tables[name] = table
+        self.tables[name] = _stamped(name, table)
         self.clear_plan_cache()
 
     def register_sample(
@@ -639,6 +651,14 @@ class AQPSession:
             agg_columns,
             lambda column: _column_data_cvs(sample, column),
         )
+
+
+def _stamped(name: str, table: Table) -> Table:
+    """A shallow view of ``table`` (shared column buffers) carrying a
+    unique group-code cache token; the caller's object is untouched."""
+    view = table.select(table.column_names)
+    view.cache_token = ("table", name, next(_TABLE_SERIAL))
+    return view
 
 
 def predict_allocation_cvs(

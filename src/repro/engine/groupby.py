@@ -21,8 +21,15 @@ performance decision (proven by ``tests/properties/test_groupby_kernels.py``).
 
 On top of the kernels, :func:`compute_group_keys` consults the
 per-version group-code cache (:mod:`repro.engine.groupcache`) when the
-table carries a ``cache_token``: sample versions are immutable, so a
-repeated query shape skips factorization entirely.
+table carries a ``cache_token``: sample versions and registered base
+tables are immutable, so a repeated query shape skips factorization
+entirely. A ``WHERE`` clause reaches grouping as a row ``mask``: on a
+stamped table the cached unfiltered ids are compacted to the groups the
+mask keeps, on any other table only the masked key columns are
+factorized. Either way the result equals grouping a filtered copy —
+same groups, same order, same key values — while representatives stay
+row indices into the unfiltered table, so no column is ever copied
+just to be grouped.
 
 ``GROUP BY a, b WITH CUBE`` executes one grouping per subset of
 ``{a, b}`` (Hive semantics) and stacks the results; non-grouped key
@@ -194,8 +201,14 @@ class GroupKeys:
         return list(zip(*decoded)) if decoded else [()] * self.num_groups
 
 
-def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
+def compute_group_keys(
+    table: Table, by: Sequence[str], mask: np.ndarray | None = None
+) -> GroupKeys:
     """Jointly factorize ``by`` columns into dense group ids.
+
+    With a boolean row ``mask``, group only the rows it keeps (see
+    :func:`_masked_group_keys`): ``gids`` has one entry per kept row and
+    ``representative`` indexes the unfiltered ``table``.
 
     Wide or high-cardinality keys whose combined code space does not fit
     in int64 are routed to :func:`compute_group_keys_sorted` (identical
@@ -209,14 +222,11 @@ def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
     annotating the enclosing span with ``factorize.cached`` instead.
     """
     by = tuple(by)
+    if mask is not None:
+        return _masked_group_keys(table, by, mask, compute_group_keys)
     n = table.num_rows
     if not by:
-        return GroupKeys(
-            by=(),
-            gids=np.zeros(n, dtype=np.int64),
-            num_groups=1 if n > 0 else 0,
-            representative=np.zeros(min(n, 1), dtype=np.int64),
-        )
+        return _single_group(n)
     token = getattr(table, "cache_token", None)
     cache = default_group_code_cache() if token is not None else None
     if cache is not None:
@@ -254,7 +264,9 @@ def compute_group_keys(table: Table, by: Sequence[str]) -> GroupKeys:
     return result
 
 
-def compute_group_keys_sorted(table: Table, by: Sequence[str]) -> GroupKeys:
+def compute_group_keys_sorted(
+    table: Table, by: Sequence[str], mask: np.ndarray | None = None
+) -> GroupKeys:
     """Sort-based alternative to :func:`compute_group_keys`.
 
     Instead of combining per-column codes into one hashable key (which
@@ -262,14 +274,71 @@ def compute_group_keys_sorted(table: Table, by: Sequence[str]) -> GroupKeys:
     are lexsorted by their per-column codes and group boundaries read
     off the sorted order. Produces *identical* output to the hash path:
     the same dense group ids in ascending lexicographic key order and
-    the same first-occurrence representatives (lexsort is stable).
+    the same first-occurrence representatives (lexsort is stable),
+    with or without a row ``mask``.
     """
     by = tuple(by)
+    if mask is not None:
+        return _masked_group_keys(table, by, mask, compute_group_keys_sorted)
     n = table.num_rows
     if not by or n == 0:
         return compute_group_keys(table, by)
     codes = [factorize(table.column(name).data)[0] for name in by]
     return _group_keys_from_codes(by, codes, n)
+
+
+def _single_group(n: int) -> GroupKeys:
+    """Keyless grouping of ``n`` rows: one group unless there are none."""
+    return GroupKeys(
+        by=(),
+        gids=np.zeros(n, dtype=np.int64),
+        num_groups=1 if n > 0 else 0,
+        representative=np.zeros(min(n, 1), dtype=np.int64),
+    )
+
+
+def _masked_group_keys(table: Table, by: tuple, mask, kernel) -> GroupKeys:
+    """Group the rows ``mask`` keeps without copying the table.
+
+    On a stamped table the cached unfiltered :class:`GroupKeys` are
+    compacted: a ``bincount`` presence vector marks the groups that
+    keep a row and its ``cumsum`` renumbers them densely. Unfiltered
+    ids ascend in key order, so the compacted ids do too — exactly the
+    ids a filtered copy would factorize to. Any other table factorizes
+    only its masked key columns with ``kernel``. Representatives are
+    row indices into the unfiltered ``table`` that carry each group's
+    key values; on the cached path that is the group's first
+    unfiltered row, which the mask may drop.
+    """
+    mask = np.asarray(mask, dtype=np.bool_)
+    if not by:
+        return _single_group(int(np.count_nonzero(mask)))
+    if (
+        kernel is compute_group_keys
+        and getattr(table, "cache_token", None) is not None
+    ):
+        full = compute_group_keys(table, by)
+        kept_gids = full.gids[np.flatnonzero(mask)]
+        present = np.bincount(kept_gids, minlength=full.num_groups) > 0
+        num_groups = int(np.count_nonzero(present))
+        if num_groups < full.num_groups:
+            dense = np.cumsum(present, dtype=np.int64) - 1
+            kept_gids = dense[kept_gids]
+        return GroupKeys(
+            by=by,
+            gids=kept_gids,
+            num_groups=num_groups,
+            representative=full.representative[present],
+        )
+    rows = np.flatnonzero(mask)
+    keyed = Table({name: table.column(name).take(rows) for name in by})
+    keys = kernel(keyed, by)
+    return GroupKeys(
+        by=by,
+        gids=keys.gids,
+        num_groups=keys.num_groups,
+        representative=rows[keys.representative],
+    )
 
 
 def _group_keys_from_codes(by: tuple, codes: list, n: int) -> GroupKeys:

@@ -20,6 +20,13 @@ Grouping has two interchangeable physical implementations:
 
 Both produce identical group ids and ordering, so the physical choice
 never changes a result.
+
+The aggregation operators fuse a :class:`FilterOp` child: when every
+group key is a stored column, the ``WHERE`` predicate is evaluated once
+into a row mask that grouping (:func:`~repro.engine.groupby.compute_group_keys`)
+and :func:`masked_rows` apply, so a filtered group-by never copies the
+whole input table and still reads cached group codes of the unfiltered
+table.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ __all__ = [
     "SortGroupStrategy",
     "choose_group_strategy",
     "compile_plan",
+    "masked_rows",
     "PhysicalPlan",
 ]
 
@@ -103,8 +111,8 @@ class HashGroupStrategy:
     name = "hash"
 
     @staticmethod
-    def keys(table: Table, by) -> GroupKeys:
-        return compute_group_keys(table, by)
+    def keys(table: Table, by, mask=None) -> GroupKeys:
+        return compute_group_keys(table, by, mask)
 
 
 class SortGroupStrategy:
@@ -113,8 +121,8 @@ class SortGroupStrategy:
     name = "sort"
 
     @staticmethod
-    def keys(table: Table, by) -> GroupKeys:
-        return compute_group_keys_sorted(table, by)
+    def keys(table: Table, by, mask=None) -> GroupKeys:
+        return compute_group_keys_sorted(table, by, mask)
 
 
 #: Combined-key-space bound above which the hash path's code
@@ -339,11 +347,12 @@ class FilterOp(PhysicalOperator):
 
     def execute(self, catalog: dict) -> Relation:
         rel = self.child.execute(catalog)
+        return Relation(rel.table.filter(self.mask(rel)), rel.bindings)
+
+    def mask(self, rel: Relation) -> np.ndarray:
+        """The predicate over ``rel`` as a boolean row mask."""
         predicate = _resolve_expr(self.predicate, rel.table, rel.bindings)
-        return Relation(
-            rel.table.filter(evaluate_predicate(predicate, rel.table)),
-            rel.bindings,
-        )
+        return evaluate_predicate(predicate, rel.table)
 
 
 @dataclass
@@ -389,6 +398,22 @@ def _column_from_array(arr: np.ndarray) -> Column:
     return Column(DType.FLOAT64, arr.astype(np.float64))
 
 
+def masked_rows(table: Table, mask: np.ndarray, exprs, extra=()) -> Table:
+    """The rows ``mask`` keeps, narrowed to the columns ``exprs``
+    reference plus the ``extra`` column names present in ``table``.
+
+    What a fused filter copies instead of the whole input: evaluating
+    ``exprs`` over the result equals evaluating them over
+    ``table.filter(mask)``.
+    """
+    needed = {ref.name for expr in exprs for ref in collect_column_refs(expr)}
+    needed.update(extra)
+    keep = [name for name in table.column_names if name in needed]
+    if not keep:
+        return _empty_context(int(np.count_nonzero(mask)))
+    return table.select(keep).filter(mask)
+
+
 # ----------------------------------------------------------------------
 # aggregation operators
 # ----------------------------------------------------------------------
@@ -397,6 +422,7 @@ class _AggregateState:
     """Everything the grouping kernels need, resolved from the input."""
 
     working: Table
+    mask: Optional[np.ndarray]  # fused WHERE over ``working``'s rows
     bindings: list
     key_names: list
     key_exprs: dict  # resolved group expr -> working column name
@@ -426,25 +452,41 @@ class _AggregateBase(PhysicalOperator):
         self.weight_column = weight_column
         self.strategy = strategy
 
-    def _group_keys(self, working: Table, key_names) -> GroupKeys:
-        impl = _resolve_strategy(working, key_names, self.strategy)
-        return impl.keys(working, key_names)
+    def _group_keys(self, state: _AggregateState, key_names) -> GroupKeys:
+        impl = _resolve_strategy(state.working, key_names, self.strategy)
+        return impl.keys(state.working, key_names, state.mask)
 
-    def _prepare(self, rel: Relation) -> _AggregateState:
+    def _prepare(self, catalog: dict) -> _AggregateState:
+        """Resolve keys and aggregate inputs over the child's rows.
+
+        A :class:`FilterOp` child is fused when every group key is a
+        stored column: its predicate becomes ``state.mask`` over the
+        unfiltered ``working`` table, and only the aggregate inputs and
+        weights are masked. Derived keys filter the input first.
+        """
+        fused = isinstance(self.child, FilterOp)
+        rel = (self.child.child if fused else self.child).execute(catalog)
+        mask = self.child.mask(rel) if fused else None
         working, bindings = rel.table, rel.bindings
         alias_map = {
             item.alias: item.expr for item in self.items if item.alias
         }
+        resolved_keys = []
+        for expr in self.group_by:
+            if isinstance(expr, ColumnRef) and expr.name in alias_map:
+                expr = alias_map[expr.name]
+            resolved_keys.append(_resolve_expr(expr, working, bindings))
+        if mask is not None and not all(
+            isinstance(key, ColumnRef) for key in resolved_keys
+        ):
+            working, mask = working.filter(mask), None
 
         # Group keys: plain refs use the table column; computed keys
         # become derived columns.
         key_names = []
         key_exprs = {}
         derived = 0
-        for expr in self.group_by:
-            if isinstance(expr, ColumnRef) and expr.name in alias_map:
-                expr = alias_map[expr.name]
-            resolved = _resolve_expr(expr, working, bindings)
+        for resolved in resolved_keys:
             if isinstance(resolved, ColumnRef):
                 key_names.append(resolved.name)
                 key_exprs[resolved] = resolved.name
@@ -457,10 +499,6 @@ class _AggregateBase(PhysicalOperator):
                 key_names.append(name)
                 key_exprs[resolved] = name
 
-        weights = None
-        if self.weight_column and self.weight_column in working:
-            weights = working.column(self.weight_column).values_numeric()
-
         # Collect every aggregate call in SELECT + HAVING, deduplicated.
         agg_calls = []
         for item in self.items:
@@ -468,14 +506,31 @@ class _AggregateBase(PhysicalOperator):
         if self.having is not None:
             agg_calls.extend(collect_agg_calls(self.having))
         agg_calls = list(dict.fromkeys(agg_calls))
+        args = [
+            None
+            if isinstance(call.arg, Star) or call.arg is None
+            else _resolve_expr(call.arg, working, bindings)
+            for call in agg_calls
+        ]
+
+        rows = working
+        if mask is not None:
+            rows = masked_rows(
+                working,
+                mask,
+                [arg for arg in args if arg is not None],
+                [self.weight_column] if self.weight_column else (),
+            )
+        weights = None
+        if self.weight_column and self.weight_column in rows:
+            weights = rows.column(self.weight_column).values_numeric()
 
         agg_inputs = []
-        for call in agg_calls:
-            if isinstance(call.arg, Star) or call.arg is None:
+        for call, arg in zip(agg_calls, args):
+            if arg is None:
                 agg_inputs.append((call.func, None))
             else:
-                arg = _resolve_expr(call.arg, working, bindings)
-                values = evaluate(arg, working)
+                values = evaluate(arg, rows)
                 if values.dtype.kind in ("O", "U", "S"):
                     raise QueryExecutionError(
                         "cannot aggregate string expression "
@@ -488,6 +543,7 @@ class _AggregateBase(PhysicalOperator):
         }
         return _AggregateState(
             working=working,
+            mask=mask,
             bindings=bindings,
             key_names=key_names,
             key_exprs=key_exprs,
@@ -503,9 +559,9 @@ class GroupAggregateOp(_AggregateBase):
     """``GROUP BY`` (or full-table) aggregation over factorized groups."""
 
     def execute(self, catalog: dict) -> Relation:
-        state = self._prepare(self.child.execute(catalog))
+        state = self._prepare(catalog)
         working = state.working
-        keys = self._group_keys(working, state.key_names)
+        keys = self._group_keys(state, state.key_names)
         num_groups = keys.num_groups
         if not state.key_names and num_groups == 0:
             # SQL semantics: a full-table aggregate over zero rows still
@@ -605,11 +661,11 @@ class CubeAggregateOp(_AggregateBase):
     """
 
     def execute(self, catalog: dict) -> Relation:
-        state = self._prepare(self.child.execute(catalog))
+        state = self._prepare(catalog)
         working = state.working
         pieces = []
         for subset in cube_grouping_sets(state.key_names):
-            keys = self._group_keys(working, list(subset))
+            keys = self._group_keys(state, list(subset))
             extra = {}
             for i, (func, values) in enumerate(state.agg_inputs):
                 extra[f"__agg_{i}"] = compute_aggregate(

@@ -157,7 +157,7 @@ class Column:
         return Column(self.dtype, self.data[indices], self.categories)
 
     def filter(self, mask: np.ndarray) -> "Column":
-        return Column(self.dtype, self.data[mask], self.categories)
+        return self.take(np.flatnonzero(mask))
 
     def concat(self, other: "Column") -> "Column":
         """Concatenate two columns of the same logical type."""
@@ -212,11 +212,12 @@ class Table:
 
     ``cache_token`` marks a table as one immutable published incarnation
     (the warehouse stamps sample tables with
-    ``(scope, sample_name, version)``), which lets the group-code cache
-    in :mod:`repro.engine.groupcache` reuse factorizations across
-    queries. Every derived table (filter/take/select/...) is a new
-    object whose token defaults to ``None``, so derived row sets can
-    never alias a cached entry.
+    ``(scope, sample_name, version)``, the AQP session stamps registered
+    base tables with ``("table", name, serial)``), which lets the
+    group-code cache in :mod:`repro.engine.groupcache` reuse
+    factorizations across queries. Every derived table
+    (filter/take/select/...) is a new object whose token defaults to
+    ``None``, so derived row sets can never alias a cached entry.
     """
 
     def __init__(self, columns: Mapping[str, Column], name: str = "") -> None:
@@ -323,9 +324,9 @@ class Table:
             raise TypeError("filter mask must be boolean")
         if len(mask) != self._nrows:
             raise ValueError("mask length does not match table")
-        return Table(
-            {n: c.filter(mask) for n, c in self._columns.items()}, name=self.name
-        )
+        # Row indices once, then a gather per column: several times
+        # faster than boolean indexing each column on large tables.
+        return self.take(np.flatnonzero(mask))
 
     def take(self, indices: np.ndarray) -> "Table":
         indices = np.asarray(indices)

@@ -52,7 +52,7 @@ from ..engine.expr import (
 from ..engine.groupby import compute_group_keys
 from ..engine.sql.ast import NamedTable, SelectItem, SelectQuery
 from ..engine.sql.errors import QueryExecutionError
-from ..engine.sql.operators import _column_from_array
+from ..engine.sql.operators import _column_from_array, masked_rows
 from ..engine.table import Table
 
 __all__ = [
@@ -238,35 +238,31 @@ def compute_partials(
     per-shard summands of the unsharded kernels in
     :mod:`repro.engine.aggregates`.
 
-    The table is first narrowed to the columns the decomposition can
-    touch (keys, WHERE references, aggregate arguments, HT weights):
-    with a lazy mmap-backed sample, ``Table.filter`` would otherwise
-    materialize every column just to subset it, and the projection
-    keeps a shard worker's resident set proportional to the query, not
+    The filter is fused the same way ``GroupAggregateOp`` fuses it: the
+    predicate becomes a row mask for :func:`compute_group_keys` (which
+    serves the unfiltered group codes from the cache on a stamped
+    table), and only the aggregate arguments and HT weights are masked.
+    No step copies the whole table, so with a lazy mmap-backed sample a
+    shard worker's resident set stays proportional to the query, not
     the sample.
     """
     table = sample.table
-    needed = set(dq.key_names) | {WEIGHT_COLUMN}
+    args = [
+        call.arg
+        for call in dq.agg_calls
+        if call.arg is not None and not isinstance(call.arg, Star)
+    ]
+    mask = None
+    rows = table
     if dq.where is not None:
-        needed.update(ref.name for ref in collect_column_refs(dq.where))
-    for call in dq.agg_calls:
-        if call.arg is not None and not isinstance(call.arg, Star):
-            needed.update(ref.name for ref in collect_column_refs(call.arg))
-    keep = [c for c in table.column_names if c in needed]
-    if len(keep) < len(table.column_names):
-        projected = table.select(keep)
-        # Same immutable rows, shared buffers — the group-code cache
-        # token stays valid on the projection.
-        projected.cache_token = table.cache_token
-        table = projected
-    if dq.where is not None:
-        table = table.filter(evaluate_predicate(dq.where, table))
+        mask = evaluate_predicate(dq.where, table)
+        rows = masked_rows(table, mask, args, [WEIGHT_COLUMN])
     weights = (
-        table.column(WEIGHT_COLUMN).values_numeric()
-        if WEIGHT_COLUMN in table
-        else np.ones(table.num_rows)
+        rows.column(WEIGHT_COLUMN).values_numeric()
+        if WEIGHT_COLUMN in rows
+        else np.ones(rows.num_rows)
     )
-    keys = compute_group_keys(table, dq.key_names)
+    keys = compute_group_keys(table, dq.key_names, mask)
     num_groups = keys.num_groups
     if not dq.key_names:
         # A full-table aggregate always has its one group, even over an
@@ -283,7 +279,7 @@ def compute_partials(
         if call.arg is None or isinstance(call.arg, Star):
             blocks.append(None)
             continue
-        values = np.asarray(evaluate(call.arg, table))
+        values = np.asarray(evaluate(call.arg, rows))
         if values.dtype.kind in ("O", "U", "S"):
             raise QueryExecutionError(
                 "cannot aggregate string expression "

@@ -1,5 +1,6 @@
 """Group-code cache correctness: identical answers across hits,
-invalidation on hot-swap and ``clear_plan_cache()``, LRU bound under
+invalidation on hot-swap and ``clear_plan_cache()``, no stale codes for
+a re-registered base table, LRU bounds (entries and bytes) under
 eviction, and exactness under 8-thread contention (mirrors the
 ``tests/obs/test_metrics.py`` thread-safety style). Ends with the
 sharded equivalence check: warm per-shard caches must not change a
@@ -11,7 +12,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.groupby import compute_group_keys
+from repro.aqp.session import AQPSession
+from repro.engine import groupcache
+from repro.engine.groupby import GroupKeys, compute_group_keys
 from repro.engine.groupcache import GroupCodeCache, default_group_code_cache
 from repro.engine.table import Table
 from repro.obs import default_tracer
@@ -138,6 +141,121 @@ class TestInvalidation:
         assert len(cache) == 1
         assert cache.get(("", "b", "v1"), ("g",)) is not None
 
+
+class TestBaseTableStaleness:
+    SQL = "SELECT g, COUNT(*) c FROM T WHERE x > 0 GROUP BY g"
+
+    def test_registration_stamps_a_view_not_the_callers_table(self):
+        base = make_base()
+        session = AQPSession({"T": base})
+        assert base.cache_token is None
+        token = session.tables["T"].cache_token
+        assert token is not None and token[1] == "T"
+        session.register_table("T", base)
+        assert session.tables["T"].cache_token != token
+        assert AQPSession({"T": base}).tables["T"].cache_token != token
+
+    def test_reregistered_table_serves_the_new_rows_groups(self):
+        base = make_base()
+        session = AQPSession({"T": base})
+        first = session.execute(self.SQL).to_pydict()
+        old = session.tables["T"]
+        old_keys = compute_group_keys(old, ("g",))
+        rng = np.random.default_rng(3)
+        batch = Table.from_pydict(
+            {
+                "g": ["g_new"] * 50,
+                "h": ["h0"] * 50,
+                "x": rng.normal(100.0, 1.0, 50),
+            },
+            name="T",
+        )
+        session.register_table("T", base.concat(batch))  # refresh's grow
+        # Even if the old table's entry outlived the registration, the
+        # new table's token can never reach it.
+        default_group_code_cache().put(old.cache_token, ("g",), old_keys)
+        grown = session.execute(self.SQL).to_pydict()
+        assert "g_new" not in first["g"]
+        assert "g_new" in grown["g"]
+        assert sum(grown["c"]) == sum(first["c"]) + 50
+
+    def test_warehouse_refresh_grows_exact_answers(self, tmp_path):
+        svc = build_service(tmp_path / "wh", make_base())
+        before = svc.query(self.SQL, mode="exact").table.to_pydict()
+        rng = np.random.default_rng(7)
+        batch = Table.from_pydict(
+            {
+                "g": ["g_new"] * 40,
+                "h": ["h1"] * 40,
+                "x": rng.normal(100.0, 1.0, 40),
+            },
+            name="T",
+        )
+        svc.refresh("s", batch, seed=1)
+        after = svc.query(self.SQL, mode="exact").table.to_pydict()
+        assert "g_new" not in before["g"]
+        assert "g_new" in after["g"]
+
+    def test_inprocess_shard_scopes_never_share_entries(self, tmp_path):
+        sharded = ShardedWarehouseService(
+            tmp_path / "sharded",
+            {"T": make_base()},
+            shards=2,
+            backend=_BACKEND,
+            workers="inprocess",
+        )
+        try:
+            sharded.build("s", "T", ["g", "h"], ["x"], budget=900, seed=0)
+            cache = default_group_code_cache()
+            cache.invalidate()
+            sharded.query("SELECT g, AVG(x) a FROM T WHERE x > 90 GROUP BY g")
+            sample_tokens = [
+                token for token, _ in list(cache._entries)
+                if token[1] == "s"
+            ]
+            scopes = {token[0] for token in sample_tokens}
+            assert scopes == {"shard-00", "shard-01"}
+            # Same sample name and version, one entry per shard scope.
+            assert len(sample_tokens) == len(set(sample_tokens)) == 2
+        finally:
+            sharded.close()
+
+
+def _keys_of_bytes(nbytes):
+    rows = nbytes // 8
+    return GroupKeys(
+        by=("g",),
+        gids=np.zeros(rows, dtype=np.int64),
+        num_groups=1,
+        representative=np.zeros(0, dtype=np.int64),
+    )
+
+
+class TestEviction:
+    def test_byte_bound_evicts_the_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(groupcache, "MAX_CACHE_BYTES", 4096)
+        cache = GroupCodeCache(capacity=100)
+        cache.put(("", "s", "v1"), ("g",), _keys_of_bytes(1600))
+        cache.put(("", "s", "v2"), ("g",), _keys_of_bytes(1600))
+        assert cache.counters()["bytes"] == 3200
+        cache.put(("", "s", "v3"), ("g",), _keys_of_bytes(1600))
+        counters = cache.counters()
+        assert counters["size"] == 2
+        assert counters["evictions"] == 1
+        assert counters["bytes"] == 3200
+        assert cache.get(("", "s", "v1"), ("g",)) is None
+        assert cache.get(("", "s", "v3"), ("g",)) is not None
+
+    def test_byte_accounting_on_replace_and_invalidate(self):
+        cache = GroupCodeCache(capacity=8)
+        cache.put(("", "a", "v1"), ("g",), _keys_of_bytes(800))
+        cache.put(("", "a", "v1"), ("g",), _keys_of_bytes(160))
+        cache.put(("", "b", "v1"), ("g",), _keys_of_bytes(80))
+        assert cache.counters()["bytes"] == 240
+        cache.invalidate("a")
+        assert cache.counters()["bytes"] == 80
+        cache.invalidate()
+        assert cache.counters()["bytes"] == 0
 
 class TestEviction:
     def test_size_bound_holds_under_eviction(self):
