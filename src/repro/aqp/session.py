@@ -60,6 +60,7 @@ from ..engine.sql.planner import (
     rename_tables,
 )
 from ..engine.groupcache import default_group_code_cache
+from ..engine.statistics import ColumnStats
 from ..engine.table import Table
 from ..obs import current_trace_id, default_registry, default_tracer
 from .catalog import SampleCatalog
@@ -850,13 +851,10 @@ def _sample_data_cvs(
     except TypeError:
         return None
     gids = table.column(STRATUM_COLUMN).data.astype(np.int64)
-    n = sample.allocation.num_strata
-    counts = np.bincount(gids, minlength=n).astype(np.float64)
-    sums = np.bincount(gids, weights=values, minlength=n)
-    sums_sq = np.bincount(gids, weights=values**2, minlength=n)
+    cs = ColumnStats.from_values(
+        values, gids, sample.allocation.num_strata
+    )
+    mean = np.abs(cs.mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(counts > 0, sums / counts, np.nan)
-        ex2 = np.where(counts > 0, sums_sq / counts, np.nan)
-        var = np.maximum(ex2 - mean**2, 0.0)
-        cv = np.where(np.abs(mean) > 0, np.sqrt(var) / np.abs(mean), 0.0)
+        cv = np.where(mean > 0, cs.std / mean, 0.0)
     return np.nan_to_num(cv)

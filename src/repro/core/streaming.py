@@ -254,13 +254,10 @@ class StreamingCVOptSampler:
             state.seen = population
             for column, cs in col_stats.items():
                 acc = state.stats[column]
-                if cs is not None:
-                    _restore_welford(
-                        acc,
-                        population,
-                        float(cs.total[idx]),
-                        float(cs.total_sq[idx]),
-                    )
+                if cs is not None:  # persisted moments are Welford state
+                    acc.count = population
+                    acc.mean = float(cs.total[idx]) / max(population, 1)
+                    acc.m2 = float(cs.m2[idx])
                 else:
                     for row in items:
                         acc.add(float(row[column]))
@@ -428,23 +425,12 @@ class StreamingCVOptSampler:
             sizes=sizes,
         )
         for column in self.value_columns:
-            counts = np.asarray(
-                [self._strata[k].stats[column].count for k in keys],
-                dtype=np.float64,
+            accs = [self._strata[k].stats[column] for k in keys]
+            counts, means, m2s = (
+                np.asarray([getattr(a, f) for a in accs], dtype=np.float64)
+                for f in ("count", "mean", "m2")
             )
-            means = np.asarray(
-                [self._strata[k].stats[column].mean for k in keys],
-                dtype=np.float64,
-            )
-            m2s = np.asarray(
-                [self._strata[k].stats[column].m2 for k in keys],
-                dtype=np.float64,
-            )
-            totals = means * counts
-            totals_sq = m2s + counts * means**2
-            stats.columns[column] = ColumnStats(
-                count=counts, total=totals, total_sq=totals_sq
-            )
+            stats.columns[column] = ColumnStats(counts, means * counts, m2s)
         return stats
 
     def finalize(self) -> StratifiedSample:
@@ -505,11 +491,3 @@ class StreamingCVOptSampler:
             }
         )
 
-
-def _restore_welford(
-    acc: WelfordAccumulator, count: int, total: float, total_sq: float
-) -> None:
-    """Rebuild a Welford state from additive moments (store round-trip)."""
-    acc.count = int(count)
-    acc.mean = total / count if count else 0.0
-    acc.m2 = max(total_sq - count * acc.mean**2, 0.0) if count else 0.0

@@ -71,16 +71,10 @@ def _agg_max(values, gids, n_groups, weights):
 
 def _agg_var(values, gids, n_groups, weights):
     """Population variance (ddof=0), weighted when weights are given."""
-    counts = group_counts(gids, n_groups, weights)
-    sums = group_sums(values, gids, n_groups, weights)
-    sq = np.asarray(values, dtype=np.float64) ** 2
-    sums_sq = group_sums(sq, gids, n_groups, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(counts > 0, sums / counts, _EMPTY)
-        ex2 = np.where(counts > 0, sums_sq / counts, _EMPTY)
-    var = ex2 - mean**2
-    # Clamp tiny negatives from floating-point cancellation.
-    return np.where(var < 0, 0.0, var)
+    # Imported here: statistics imports groupby, which imports this module.
+    from .statistics import ColumnStats
+
+    return ColumnStats.from_values(values, gids, n_groups, weights).variance
 
 
 def _agg_std(values, gids, n_groups, weights):

@@ -1,10 +1,17 @@
-"""One-pass per-stratum statistics.
+"""Per-stratum statistics over one numerically stable moments type.
 
 The offline phase of every stratified sampler needs, for each stratum
 ``c`` and each aggregation column ``l``: the size ``n_c``, mean
-``mu_{c,l}`` and population standard deviation ``sigma_{c,l}``. This
-module computes them in a single vectorized pass (bincount moments), and
-provides the streaming Welford accumulator the paper's single-pass
+``mu_{c,l}`` and population standard deviation ``sigma_{c,l}``.
+:class:`ColumnStats` carries them as ``(count, total, m2)``, ``m2``
+being the *centred* sum ``sum w (x - mean)^2``; no sigma, ``VAR`` or
+``STD`` in the system is recovered from ``E[x^2] - mean^2``, which
+cancels catastrophically when ``|mean| >> sigma``. Its kernels are the
+only moment arithmetic: :meth:`~ColumnStats.from_values` (two bincount
+passes), :meth:`~ColumnStats.combine` (Chan, Golub & LeVeque's parallel
+merge, vectorized, with optional decay scaling) and the verbatim
+:meth:`~ColumnStats.take` / :meth:`~ColumnStats.concat`. The module
+also provides the streaming Welford accumulator the paper's single-pass
 formulation implies, plus the *roll-up* used by multiple group-bys: the
 statistics of a coarser group ``a`` are merged from the finest strata
 ``c in C(a)`` without touching the data again.
@@ -29,28 +36,115 @@ __all__ = [
     "summarize_column_stats",
 ]
 
+_FIELDS = ("count", "total", "m2")
 
-@dataclass
+
+def _ratio(num: np.ndarray, count: np.ndarray, empty: float) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(count > 0, num / count, empty)
+
+
+@dataclass(init=False)
 class ColumnStats:
-    """Moments of one column within each stratum (arrays over strata)."""
+    """Moments of one column within each stratum (arrays over strata).
 
-    count: np.ndarray  # n_c
-    total: np.ndarray  # sum of values
-    total_sq: np.ndarray  # sum of squared values
+    Raw ``total_sq`` (the pre-format-5 representation) is accepted in
+    place of ``m2`` and converted once; it stays readable as a derived
+    property.
+    """
+
+    count: np.ndarray  # n_c (sum of weights when weighted)
+    total: np.ndarray  # sum of (weighted) values
+    m2: np.ndarray  # sum of (weighted) squared deviations from the mean
+
+    def __init__(self, count, total, m2=None, *, total_sq=None) -> None:
+        self.count = np.asarray(count, dtype=np.float64)
+        self.total = np.asarray(total, dtype=np.float64)
+        if m2 is None:  # raw sum of squares: convert once
+            square_of_total = _ratio(self.total**2, self.count, 0.0)
+            m2 = np.maximum(np.asarray(total_sq) - square_of_total, 0.0)
+        self.m2 = np.asarray(m2, dtype=np.float64)
+
+    @classmethod
+    def from_values(
+        cls, values, gids: np.ndarray, n: int, weights=None
+    ) -> "ColumnStats":
+        """Per-group moments of ``values`` in two passes: totals, then
+        squared deviations from each group's mean."""
+        values = np.asarray(values, dtype=np.float64)
+        if weights is None:  # unit weights, without the multiplies
+            count = np.bincount(gids, minlength=n).astype(np.float64)
+            total = np.bincount(gids, weights=values, minlength=n)
+        else:
+            count = np.bincount(gids, weights=weights, minlength=n)
+            total = np.bincount(gids, weights=values * weights, minlength=n)
+        dev = values - _ratio(total, count, 0.0)[gids]
+        dev *= dev if weights is None else weights * dev
+        return cls(count, total, np.bincount(gids, weights=dev, minlength=n))
+
+    @classmethod
+    def combine(
+        cls,
+        parts: Sequence["ColumnStats"],
+        slots: Sequence[np.ndarray],
+        n: int,
+        factors: Sequence[float] | None = None,
+    ) -> "ColumnStats":
+        """Merge ``parts`` into ``n`` slots: entry ``j`` of part ``k``
+        lands in slot ``slots[k][j]``.
+
+        ``count`` and ``total`` add in part order; ``m2`` adds each
+        entry's own ``m2`` plus its between-entry term ``count *
+        (mean_entry - mean_slot)^2`` — Chan et al.'s pairwise update,
+        generalized to any number of entries per slot. ``factors``
+        scales one part's ``count``, ``total`` and ``m2`` together,
+        which leaves its mean and variance unchanged (decay).
+        """
+        factors = [1.0] * len(parts) if factors is None else factors
+        # A leading empty array keeps a merge of no parts well-defined.
+        idx = np.concatenate(
+            [np.zeros(0, np.int64)] + [np.asarray(s, np.int64) for s in slots]
+        )
+        count, total, m2 = (
+            np.concatenate(
+                [np.zeros(0)]
+                + [f * getattr(p, name) for p, f in zip(parts, factors)]
+            )
+            for name in _FIELDS
+        )
+        merged_count = np.bincount(idx, weights=count, minlength=n)
+        merged_total = np.bincount(idx, weights=total, minlength=n)
+        between = _ratio(total, count, 0.0) - _ratio(
+            merged_total, merged_count, 0.0
+        )[idx]
+        merged_m2 = np.bincount(
+            idx, weights=m2 + count * between * between, minlength=n
+        )
+        return cls(merged_count, merged_total, merged_m2)
+
+    @classmethod
+    def concat(cls, parts: Sequence["ColumnStats"]) -> "ColumnStats":
+        """Disjoint strata side by side, verbatim."""
+        arrays = ([getattr(p, name) for p in parts] for name in _FIELDS)
+        return cls(*map(np.concatenate, arrays))
+
+    def take(self, idx) -> "ColumnStats":
+        """The strata at ``idx``, verbatim."""
+        return ColumnStats(self.count[idx], self.total[idx], self.m2[idx])
+
+    @property
+    def total_sq(self) -> np.ndarray:
+        """Raw sum of squares, derived (legacy readers only)."""
+        return self.m2 + _ratio(self.total**2, self.count, 0.0)
 
     @property
     def mean(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.count > 0, self.total / self.count, np.nan)
+        return _ratio(self.total, self.count, np.nan)
 
     @property
     def variance(self) -> np.ndarray:
-        """Population variance (ddof=0), clamped at zero."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(self.count > 0, self.total / self.count, np.nan)
-            ex2 = np.where(self.count > 0, self.total_sq / self.count, np.nan)
-        var = ex2 - mean**2
-        return np.where(var < 0, 0.0, var)
+        """Population variance (ddof=0)."""
+        return _ratio(self.m2, self.count, np.nan)
 
     @property
     def std(self) -> np.ndarray:
@@ -119,7 +213,7 @@ def collect_strata_statistics(
     agg_columns: Sequence[str],
     keys: GroupKeys | None = None,
 ) -> StrataStatistics:
-    """Single-pass statistics for stratification ``by``.
+    """Two-pass statistics for stratification ``by``.
 
     ``keys`` may carry a pre-computed factorization (the samplers reuse
     one factorization for statistics and the sample draw).
@@ -134,13 +228,9 @@ def collect_strata_statistics(
         sizes=sizes,
     )
     for col_name in dict.fromkeys(agg_columns):  # dedupe, keep order
-        values = table.column(col_name).values_numeric().astype(np.float64)
-        total = np.bincount(keys.gids, weights=values, minlength=n_groups)
-        total_sq = np.bincount(
-            keys.gids, weights=values**2, minlength=n_groups
-        )
-        stats.columns[col_name] = ColumnStats(
-            count=sizes.astype(np.float64), total=total, total_sq=total_sq
+        values = table.column(col_name).values_numeric()
+        stats.columns[col_name] = ColumnStats.from_values(
+            values, keys.gids, n_groups
         )
     return stats
 
@@ -151,10 +241,11 @@ def rollup(
     """Merge finest-strata statistics into coarser groups.
 
     ``parent_gids[c]`` is the coarse-group id of fine stratum ``c``.
-    Moments are additive, so no data pass is needed — this is exactly the
-    property the paper relies on for multiple group-bys ("compute the CV
-    of a stratum using statistics stored for strata in finer
-    stratification").
+    Moments merge exactly (:meth:`ColumnStats.combine` adds the
+    between-strata term to the parents' ``m2``), so no data pass is
+    needed — this is exactly the property the paper relies on for
+    multiple group-bys ("compute the CV of a stratum using statistics
+    stored for strata in finer stratification").
     """
     parent_gids = np.asarray(parent_gids, dtype=np.int64)
     if len(parent_gids) != fine.num_strata:
@@ -166,16 +257,8 @@ def rollup(
         by=(), keys=[None] * num_parents, sizes=sizes
     )
     for name, cs in fine.columns.items():
-        merged.columns[name] = ColumnStats(
-            count=np.bincount(
-                parent_gids, weights=cs.count, minlength=num_parents
-            ),
-            total=np.bincount(
-                parent_gids, weights=cs.total, minlength=num_parents
-            ),
-            total_sq=np.bincount(
-                parent_gids, weights=cs.total_sq, minlength=num_parents
-            ),
+        merged.columns[name] = ColumnStats.combine(
+            [cs], [parent_gids], num_parents
         )
     return merged
 

@@ -12,7 +12,7 @@ answers the scatter-gather protocol:
 ``partials``
     Parse + :func:`~repro.warehouse.partials.decompose` the shipped
     SQL locally, snapshot the named sample under the service's read
-    lock, and return per-group ``(count, total, total_sq)`` moment
+    lock, and return per-group ``(count, total, m2)`` moment
     blocks (:func:`~repro.warehouse.partials.compute_partials`). The
     worker never finalizes — aggregation finishes at the front, on the
     merged moments.

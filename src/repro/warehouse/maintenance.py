@@ -10,7 +10,7 @@ from the persisted sample + its pass-1 statistics:
   counter is the stratum population, so continuing Algorithm R over the
   batch yields an exact SRS of the extended population;
 * per-stratum moments are merged exactly **per tracked column**
-  (moments are additive), so the Horvitz-Thompson weights, the
+  (a Chan-style pairwise update), so the Horvitz-Thompson weights, the
   CV-driven re-balance and every column's accuracy contract use true
   populations, not estimates — a refresh never silently invalidates
   the statistics of the other aggregates the sample was built for;
@@ -649,11 +649,11 @@ def _merge_statistics(
     """Extend the refreshed sample's statistics beyond the streamed
     columns.
 
-    Moments are additive, so for every column the original build
+    Moments merge exactly, so for every column the original build
     tracked but the streaming pass did not (legacy metas), per-stratum
-    ``(count, total, total_sq)`` over the extended population is
-    exactly ``stored + batch`` — one vectorized pass over the batch, no
-    rescan of old data.
+    moments over the extended population are ``stored`` combined with
+    ``batch`` (:meth:`~repro.engine.statistics.ColumnStats.combine`) — one
+    vectorized pass over the batch, no rescan of old data.
     """
     final = sample.allocation.stats
     if stored is None or final is None:
@@ -668,29 +668,17 @@ def _merge_statistics(
     batch_stats = collect_strata_statistics(
         batch, sample.allocation.by, columns
     )
-    stored_idx = {tuple(k): i for i, k in enumerate(stored.keys)}
-    batch_idx = {tuple(k): i for i, k in enumerate(batch_stats.keys)}
-    n = final.num_strata
+    final_idx = {tuple(k): i for i, k in enumerate(final.keys)}
+    placed = []  # (part, its strata kept, their slots in ``final``)
+    for part in (stored, batch_stats):
+        rows = [i for i, k in enumerate(part.keys) if tuple(k) in final_idx]
+        slots = [final_idx[tuple(part.keys[i])] for i in rows]
+        placed.append((part, rows, slots))
     for column in columns:
-        s_cs = stored.stats_for(column)
-        b_cs = batch_stats.stats_for(column)
-        count = np.zeros(n)
-        total = np.zeros(n)
-        total_sq = np.zeros(n)
-        for i, key in enumerate(final.keys):
-            k = tuple(key)
-            si = stored_idx.get(k)
-            if si is not None:
-                count[i] += s_cs.count[si]
-                total[i] += s_cs.total[si]
-                total_sq[i] += s_cs.total_sq[si]
-            bi = batch_idx.get(k)
-            if bi is not None:
-                count[i] += b_cs.count[bi]
-                total[i] += b_cs.total[bi]
-                total_sq[i] += b_cs.total_sq[bi]
-        final.columns[column] = ColumnStats(
-            count=count, total=total, total_sq=total_sq
+        final.columns[column] = ColumnStats.combine(
+            [part.stats_for(column).take(rows) for part, rows, _ in placed],
+            [slots for _, _, slots in placed],
+            final.num_strata,
         )
 
 

@@ -2,17 +2,17 @@
 
 The scatter-gather protocol rests on one algebraic fact: every
 aggregate the engine serves over a stratified sample is a function of
-per-group *additive moments*. With Horvitz-Thompson weights ``w``:
+per-group *mergeable moments*. With Horvitz-Thompson weights ``w``:
 
 * ``COUNT``            = sum of ``w``                    (additive)
 * ``SUM`` / ``COUNT_IF`` = sum of ``w * v``              (additive)
 * ``AVG``              = sum(w*v) / sum(w)               (from moments)
-* ``VAR`` / ``STD``    = from sum(w), sum(w*v), sum(w*v^2)
+* ``VAR`` / ``STD``    = m2 / sum(w), where m2 = sum w*(v - AVG)^2
 * ``MIN`` / ``MAX``    = min/max of per-shard extrema
 
 Because shards partition the sample rows, each shard computes its
-moments over its own rows and the front adds them — the same
-Welford/Chan moment merge the streaming sampler uses for statistics,
+moments over its own rows and the front merges them with the same
+:class:`~repro.engine.statistics.ColumnStats` kernels the engine uses,
 applied per query group. ``MEDIAN`` is the one engine aggregate with
 no such decomposition; queries using it (or any shape this module
 cannot prove decomposable — joins, CTEs, CUBE, HAVING, computed group
@@ -50,6 +50,7 @@ from ..engine.expr import (
     rewrite,
 )
 from ..engine.groupby import compute_group_keys
+from ..engine.statistics import ColumnStats
 from ..engine.sql.ast import NamedTable, SelectItem, SelectQuery
 from ..engine.sql.errors import QueryExecutionError
 from ..engine.sql.operators import _column_from_array, masked_rows
@@ -101,9 +102,9 @@ class ShardPartials:
 
     ``keys`` are decoded group-key tuples; all arrays align with them.
     ``blocks[i]`` belongs to ``agg_calls[i]`` (``None`` for argument-
-    less COUNT): weighted ``total``/``total_sq`` plus raw ``vmin``/
-    ``vmax`` with infinity identities, so merging is a plain
-    elementwise reduce.
+    less COUNT): weighted ``total`` and centred ``m2`` (which, with
+    ``wcount``, form one :class:`~repro.engine.statistics.ColumnStats`)
+    plus raw ``vmin``/``vmax`` with infinity identities.
     """
 
     keys: List[tuple]
@@ -286,7 +287,7 @@ def compute_partials(
                 f"{expr_to_sql(call.arg)}"
             )
         values = values.astype(np.float64)
-        weighted = values * weights
+        moments = ColumnStats.from_values(values, gids, num_groups, weights)
         vmin = np.full(num_groups, np.inf)
         vmax = np.full(num_groups, -np.inf)
         if len(values):
@@ -294,12 +295,8 @@ def compute_partials(
             np.maximum.at(vmax, gids, values)
         blocks.append(
             {
-                "total": np.bincount(
-                    gids, weights=weighted, minlength=num_groups
-                ),
-                "total_sq": np.bincount(
-                    gids, weights=weighted * values, minlength=num_groups
-                ),
+                "total": moments.total,
+                "m2": moments.m2,
                 "vmin": vmin,
                 "vmax": vmax,
             }
@@ -318,7 +315,7 @@ def compute_partials(
 def merge_partials(
     parts: Sequence[ShardPartials], num_calls: int
 ) -> ShardPartials:
-    """Add per-shard moments group-by-group (exact, order-insensitive
+    """Merge per-shard moments group-by-group (exact, order-insensitive
     up to float summation order); extrema merge by min/max."""
     index: Dict[tuple, int] = {}
     for part in parts:
@@ -334,12 +331,7 @@ def merge_partials(
     # argument, so an all-empty result still finalizes cleanly.
     blocks: List[Optional[Dict[str, np.ndarray]]] = [
         (
-            {
-                "total": np.zeros(n),
-                "total_sq": np.zeros(n),
-                "vmin": np.full(n, np.inf),
-                "vmax": np.full(n, -np.inf),
-            }
+            {"vmin": np.full(n, np.inf), "vmax": np.full(n, -np.inf)}
             if any(
                 i < len(part.blocks) and part.blocks[i] is not None
                 for part in parts
@@ -348,22 +340,26 @@ def merge_partials(
         )
         for i in range(num_calls)
     ]
+    moments: List[Tuple[list, list]] = [([], []) for _ in range(num_calls)]
     for part in parts:
         if not part.keys:
             continue
         rows = np.asarray([index[key] for key in part.keys])
-        np.add.at(wcount, rows, part.wcount[: len(rows)])
-        np.add.at(support, rows, part.support[: len(rows)])
+        np.add.at(wcount, rows, part.wcount)
+        np.add.at(support, rows, part.support)
         for i, block in enumerate(part.blocks):
             if block is None:
                 continue
-            acc = blocks[i]
-            np.add.at(acc["total"], rows, block["total"][: len(rows)])
-            np.add.at(
-                acc["total_sq"], rows, block["total_sq"][: len(rows)]
+            moments[i][0].append(
+                ColumnStats(part.wcount, block["total"], block["m2"])
             )
-            np.minimum.at(acc["vmin"], rows, block["vmin"][: len(rows)])
-            np.maximum.at(acc["vmax"], rows, block["vmax"][: len(rows)])
+            moments[i][1].append(rows)
+            np.minimum.at(blocks[i]["vmin"], rows, block["vmin"])
+            np.maximum.at(blocks[i]["vmax"], rows, block["vmax"])
+    for block, (stats, slots) in zip(blocks, moments):
+        if block is not None:
+            merged = ColumnStats.combine(stats, slots, n)
+            block["total"], block["m2"] = merged.total, merged.m2
     return ShardPartials(
         keys=list(merged_keys),
         wcount=wcount,
@@ -390,11 +386,9 @@ def _final_values(
         raise QueryExecutionError(f"{func} requires an argument")
     if func in ("SUM", "COUNT_IF"):
         return block["total"].astype(np.float64)
+    moments = ColumnStats(wcount, block["total"], block["m2"])
     if func in ("AVG", "MEAN"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                wcount > 0, block["total"] / wcount, np.nan
-            )
+        return moments.mean
     if func == "MIN":
         out = block["vmin"].copy()
         out[np.isinf(out)] = np.nan
@@ -403,15 +397,10 @@ def _final_values(
         out = block["vmax"].copy()
         out[np.isinf(out)] = np.nan
         return out
-    if func in ("VAR", "VARIANCE", "STD", "STDDEV"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(wcount > 0, block["total"] / wcount, np.nan)
-            ex2 = np.where(
-                wcount > 0, block["total_sq"] / wcount, np.nan
-            )
-        var = ex2 - mean**2
-        var = np.where(var < 0, 0.0, var)
-        return np.sqrt(var) if func in ("STD", "STDDEV") else var
+    if func in ("VAR", "VARIANCE"):
+        return moments.variance
+    if func in ("STD", "STDDEV"):
+        return moments.std
     raise QueryExecutionError(f"aggregate {func!r} is not decomposable")
 
 

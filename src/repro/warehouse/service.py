@@ -790,7 +790,7 @@ class WarehouseService(WarehouseFront):
         ...]`` predicate covered by retained windows route to the
         member (single window) or to a merged slide sample
         (:data:`~repro.warehouse.windows.SLIDE_SUFFIX`) whose
-        per-(stratum, column) moments are summed exactly.
+        per-(stratum, column) moments are merged exactly.
         """
         if decay is not None and not (0.0 < float(decay) <= 1.0):
             raise ValueError("decay must be in (0, 1]")
@@ -1182,7 +1182,7 @@ class WarehouseService(WarehouseFront):
         self, base: str, family: Dict, starts: Sequence[int]
     ) -> None:
         """Merge the members at ``starts`` into the family's slide
-        sample (moments summed exactly, decay applied when the family
+        sample (moments merged exactly, decay applied when the family
         declares it) and swap it live."""
         slide = base + SLIDE_SUFFIX
         if self._slide_signature(slide, family, starts) is None:

@@ -14,8 +14,8 @@ so this module supplies the front's hooks and its own maintenance:
   moments concatenate verbatim) under an empty row table.
 * **Row work scatters** (the ``_answer`` hook). A decomposable
   aggregate query fans out to every shard worker concurrently; each
-  returns per-group ``(count, total, total_sq)`` moment blocks over its
-  slice, the front adds them
+  returns per-group ``(count, total, m2)`` moment blocks over its
+  slice, the front combines them
   (:func:`~repro.warehouse.partials.merge_partials`) and finalizes one
   answer table — numerically the unsharded answer up to float
   summation order. Non-decomposable queries (MEDIAN, HAVING, joins,
@@ -778,7 +778,7 @@ class ShardedWarehouseService(WarehouseFront):
                 route = self._session.route(parsed, mode, max_cv)
             snapshot = self._snapshot(route)
             # A slide stand-in has no rows anywhere; fan out once per
-            # covered window member instead. Partials are additive
+            # covered window member instead. Partials merge exactly
             # across shards *and* windows (disjoint rows either way),
             # so one merge over the whole response set is exact.
             fanout_names = self._meta.get(route.sample_name, {}).get(

@@ -1,13 +1,14 @@
 """Stratum-hash sharding of stratified samples.
 
 A CVOPT sample is a union of disjoint per-stratum SRS draws, and every
-per-group estimator the engine computes is a sum of per-row terms —
-``(count, total, total_sq)`` moments are additive over any partition of
-the rows ("A Sampling Algebra for Aggregate Estimation", arXiv
-1307.0193). Partitioning the sample *by stratum* therefore loses
-nothing: each shard holds complete strata with their exact
-Horvitz-Thompson weights and per-stratum moments, and the union of the
-shards is bit-for-bit the unsharded sample. That is the property the
+per-group estimator the engine computes is a function of per-row
+moments — ``(count, total, m2)`` merge exactly over any partition of
+the rows (:meth:`~repro.engine.statistics.ColumnStats.combine`; "A
+Sampling Algebra for Aggregate Estimation", arXiv 1307.0193).
+Partitioning the sample *by stratum* therefore loses nothing: each
+shard holds complete strata with their exact Horvitz-Thompson weights
+and per-stratum moments, and the union of the shards is bit-for-bit
+the unsharded sample. That is the property the
 scatter-gather front relies on: per-group partials from each shard
 merge losslessly, and the contract CV math runs unchanged on the
 merged moments.
@@ -102,14 +103,7 @@ def _slice_stats(
         by=tuple(by),
         keys=[keys[i] for i in idx],
         sizes=np.asarray(stats.sizes)[idx],
-        columns={
-            name: ColumnStats(
-                count=np.asarray(cs.count)[idx],
-                total=np.asarray(cs.total)[idx],
-                total_sq=np.asarray(cs.total_sq)[idx],
-            )
-            for name, cs in stats.columns.items()
-        },
+        columns={name: cs.take(idx) for name, cs in stats.columns.items()},
     )
 
 
@@ -183,7 +177,7 @@ def merge_shard_allocations(
 
     Concatenates the disjoint per-shard strata and re-sorts them by key
     so the merged view is independent of shard count; populations,
-    sizes and per-column ``(count, total, total_sq)`` moments are taken
+    sizes and per-column ``(count, total, m2)`` moments are taken
     verbatim (strata are never split across shards, so no arithmetic —
     and no floating-point error — is involved).
     """
@@ -196,7 +190,6 @@ def merge_shard_allocations(
     sizes: list = []
     scores: list = []
     have_scores = all(a.scores is not None for a in allocations)
-    columns: Dict[str, Dict[str, list]] = {}
     have_stats = all(a.stats is not None for a in allocations)
     for alloc in allocations:
         if tuple(alloc.by) != tuple(by):
@@ -209,14 +202,6 @@ def merge_shard_allocations(
         sizes.extend(int(x) for x in alloc.sizes)
         if have_scores:
             scores.extend(float(x) for x in alloc.scores)
-        if have_stats:
-            for name, cs in alloc.stats.columns.items():
-                block = columns.setdefault(
-                    name, {"count": [], "total": [], "total_sq": []}
-                )
-                block["count"].extend(float(x) for x in cs.count)
-                block["total"].extend(float(x) for x in cs.total)
-                block["total_sq"].extend(float(x) for x in cs.total_sq)
     try:
         order = sorted(range(len(keys)), key=lambda i: _sort_key(keys[i]))
     except TypeError:  # unorderable mixed-type keys: keep shard order
@@ -229,12 +214,10 @@ def merge_shard_allocations(
             keys=keys,
             sizes=np.asarray([sizes[i] for i in order], dtype=np.int64),
             columns={
-                name: ColumnStats(
-                    count=np.asarray(block["count"])[order],
-                    total=np.asarray(block["total"])[order],
-                    total_sq=np.asarray(block["total_sq"])[order],
-                )
-                for name, block in columns.items()
+                name: ColumnStats.concat(
+                    [a.stats.columns[name] for a in allocations]
+                ).take(order)
+                for name in allocations[0].stats.columns
             },
         )
     return Allocation(

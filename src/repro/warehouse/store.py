@@ -98,7 +98,10 @@ __all__ = [
 #       window ``[start, end)`` of its family, partitioned on the
 #       (integer) timestamp ``column``. Formats 1-3 still load with
 #       ``window = None`` (an un-windowed, all-of-history sample).
-_FORMAT_VERSION = 4
+#   5 — centred moments: ``statistics`` column blocks are ``{count,
+#       total, m2}``. Formats 1-4 stored raw ``total_sq`` and convert
+#       on read (:func:`_decode_column_stats`).
+_FORMAT_VERSION = 5
 _CURRENT_FILE = "CURRENT"
 _META_FILE = "meta.json"
 _LOCK_FILE = ".lock"
@@ -696,9 +699,8 @@ class SampleStore:
         if allocation.stats is not None:
             meta["statistics"] = {
                 column: {
-                    "count": [float(x) for x in cs.count],
-                    "total": [float(x) for x in cs.total],
-                    "total_sq": [float(x) for x in cs.total_sq],
+                    name: [float(x) for x in getattr(cs, name)]
+                    for name in ("count", "total", "m2")
                 }
                 for column, cs in allocation.stats.columns.items()
             }
@@ -716,11 +718,7 @@ class SampleStore:
                 sizes=populations,
             )
             for column, cs in meta["statistics"].items():
-                stats.columns[column] = ColumnStats(
-                    count=np.asarray(cs["count"], dtype=np.float64),
-                    total=np.asarray(cs["total"], dtype=np.float64),
-                    total_sq=np.asarray(cs["total_sq"], dtype=np.float64),
-                )
+                stats.columns[column] = _decode_column_stats(cs)
         scores = alloc_meta.get("scores")
         allocation = Allocation(
             by=tuple(alloc_meta["by"]),
@@ -843,16 +841,19 @@ def _columns_block_of(meta: Dict) -> Dict:
     return derived
 
 
+def _decode_column_stats(cs: Dict) -> ColumnStats:
+    """One persisted column block: format 5's ``{count, total, m2}``, or
+    formats 1-4's raw ``{count, total, total_sq}`` (converted on read)."""
+    names = ("count", "total", "m2" if "m2" in cs else "total_sq")
+    return ColumnStats(**{f: np.asarray(cs[f], np.float64) for f in names})
+
+
 def _column_stat_summaries(meta: Dict) -> Dict:
     """Per-column moment summaries from a meta's statistics block."""
     out: Dict = {}
     for column, cs in (meta.get("statistics") or {}).items():
         try:
-            stats = ColumnStats(
-                count=np.asarray(cs["count"], dtype=np.float64),
-                total=np.asarray(cs["total"], dtype=np.float64),
-                total_sq=np.asarray(cs["total_sq"], dtype=np.float64),
-            )
+            stats = _decode_column_stats(cs)
         except (KeyError, TypeError, ValueError):
             continue  # torn statistics block: skip the column
         out[column] = summarize_column_stats(stats)

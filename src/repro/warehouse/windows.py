@@ -7,18 +7,19 @@ sample per window. Each window is persisted as its own store member
 (``base@w<start>``) tagged with a ``window`` block in meta.
 
 Sliding-window queries are answered compositionally: the per-(stratum,
-column) ``(count, total, total_sq)`` moments of the covered windows are
-**summed** per stratum key — windows partition the base rows, so
-additive moments merge exactly ("A Sampling Algebra for Aggregate
-Estimation", arXiv 1307.0193). This is the same compositional move as
-the sharded scatter-gather merge (:func:`~repro.warehouse.sharding.merge_shard_allocations`)
+column) ``(count, total, m2)`` moments of the covered windows are
+**combined** per stratum key
+(:meth:`~repro.engine.statistics.ColumnStats.combine`) — windows
+partition the base rows, so the moments merge exactly ("A Sampling
+Algebra for Aggregate Estimation", arXiv 1307.0193). This is the same
+compositional move as the sharded scatter-gather merge (:func:`~repro.warehouse.sharding.merge_shard_allocations`)
 with one structural difference: shards own *disjoint* strata (merge =
-concatenate), while windows *share* strata (merge = sum per key).
+concatenate), while windows *share* strata (merge = combine per key).
 
 Optional exponential decay biases a merged sample toward recent data:
 window ``w`` (counting back from the newest covered window) has its
 moments and Horvitz-Thompson row weights scaled by ``decay ** w``.
-Scaling ``(count, total, total_sq)`` uniformly leaves every per-window
+Scaling ``(count, total, m2)`` uniformly leaves every per-window
 mean and CV unchanged — only the windows' *relative* mass in the
 mixture shifts — and raw integer populations/sizes are kept unscaled,
 so the allocation invariants (``sizes <= populations``) hold verbatim.
@@ -167,11 +168,11 @@ def merge_window_allocations(
     """Sum per-window allocations into the sliding-window view.
 
     Windows partition the base rows but *share* strata, so — unlike the
-    disjoint-strata shard merge — populations, sizes and per-column
-    moments are **summed** per stratum key. ``factors`` (aligned with
-    ``allocations``) scales each window's statistics moments for decay;
-    populations and sizes stay raw integer sums so the
-    ``sizes <= populations`` invariant is untouched.
+    disjoint-strata shard merge — populations and sizes are **summed**
+    and per-column moments **combined** per stratum key. ``factors``
+    (aligned with ``allocations``) scales each window's statistics
+    moments for decay; populations and sizes stay raw integer sums so
+    the ``sizes <= populations`` invariant is untouched.
     """
     allocations = [a for a in allocations if a is not None]
     if not allocations:
@@ -204,46 +205,30 @@ def merge_window_allocations(
     n = len(keys)
     populations = np.zeros(n, dtype=np.int64)
     sizes = np.zeros(n, dtype=np.int64)
-    have_stats = all(a.stats is not None for a in allocations)
-    columns: Dict[str, Dict[str, np.ndarray]] = {}
-    if have_stats:
-        names = set(allocations[0].stats.columns)
-        for alloc in allocations[1:]:
-            names &= set(alloc.stats.columns)
-        columns = {
-            name: {
-                "count": np.zeros(n),
-                "total": np.zeros(n),
-                "total_sq": np.zeros(n),
-            }
-            for name in names
-        }
-    for alloc, factor in zip(allocations, factors):
-        slots = np.asarray(
-            [index[tuple(k)] for k in alloc.keys], dtype=np.int64
-        )
-        np.add.at(populations, slots, alloc.populations)
-        np.add.at(sizes, slots, alloc.sizes)
-        for name, block in columns.items():
-            cs = alloc.stats.columns[name]
-            np.add.at(block["count"], slots, factor * np.asarray(cs.count))
-            np.add.at(block["total"], slots, factor * np.asarray(cs.total))
-            np.add.at(
-                block["total_sq"], slots, factor * np.asarray(cs.total_sq)
-            )
+    slots = [
+        np.asarray([index[tuple(k)] for k in alloc.keys], dtype=np.int64)
+        for alloc in allocations
+    ]
+    for alloc, slot in zip(allocations, slots):
+        np.add.at(populations, slot, alloc.populations)
+        np.add.at(sizes, slot, alloc.sizes)
     stats = None
-    if have_stats:
+    if all(a.stats is not None for a in allocations):
+        names = set.intersection(
+            *(set(a.stats.columns) for a in allocations)
+        )
         stats = StrataStatistics(
             by=by,
             keys=keys,
             sizes=sizes.copy(),
             columns={
-                name: ColumnStats(
-                    count=block["count"],
-                    total=block["total"],
-                    total_sq=block["total_sq"],
+                name: ColumnStats.combine(
+                    [a.stats.columns[name] for a in allocations],
+                    slots,
+                    n,
+                    factors,
                 )
-                for name, block in columns.items()
+                for name in names
             },
         )
     return Allocation(
@@ -263,7 +248,7 @@ def merge_window_samples(
 
     Rows are concatenated with stratum ids remapped onto the merged key
     order and Horvitz-Thompson weights scaled by the window's decay
-    factor; the merged allocation carries the exactly-summed (optionally
+    factor; the merged allocation carries the exactly merged (optionally
     decayed) moments. With ``factors`` all 1.0 the result is
     moment-exact versus a sample maintained on the union of the
     windows' rows.

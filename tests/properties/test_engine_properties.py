@@ -144,16 +144,8 @@ class TestStatisticsProperties:
         for key, mean, var in zip(stats.keys, cs.mean, cs.variance):
             vals = np.asarray(ref[key[0]])
             np.testing.assert_allclose(mean, vals.mean(), rtol=1e-9, atol=1e-9)
-            # Raw additive moments (total, total_sq) are the persisted,
-            # mergeable representation; recovering the variance from
-            # them cancels to O(eps * mean^2) absolute error when
-            # |mean| >> sigma, so the tolerance must scale with the
-            # conditioning of the input.
             np.testing.assert_allclose(
-                var,
-                vals.var(),
-                rtol=1e-6,
-                atol=1e-5 + 1e-12 * float(mean) ** 2,
+                var, vals.var(), rtol=1e-6, atol=1e-5
             )
 
 

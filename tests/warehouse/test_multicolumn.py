@@ -189,4 +189,4 @@ class TestLegacyMetaCompatibility:
         stored = svc.store.get("old")
         assert stored.tracked_columns == ["value"]
         meta = json.loads((stored.path / "meta.json").read_text())
-        assert meta["format"] == 4
+        assert meta["format"] == 5

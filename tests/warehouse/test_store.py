@@ -301,7 +301,7 @@ class TestKeyEncoding:
         store.put("s", sample)
         meta_path = store.root / "s" / "v000001" / "meta.json"
         meta = json.loads(meta_path.read_text())
-        assert meta["format"] == 4
+        assert meta["format"] == 5
         assert meta["storage"]["format"] in ("npz", "parquet", "memory", "mmap")
         assert set(meta["columns"]) == {"tracked", "primary"}
         assert len(meta["allocation"]["keys"]) == sample.allocation.num_strata
