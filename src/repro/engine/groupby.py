@@ -4,20 +4,23 @@ The central object is :class:`GroupKeys` — dense group ids per row plus
 one representative row index per group, from which key values for any
 grouped column can be recovered without re-hashing.
 
-Factorization runs through one of two kernels behind a cost rule (the
-same shape as the planner's hash-vs-sort group-by rule):
+Grouping has one cost rule, owned by :func:`compute_group_keys`, the
+entry point every operator, sample build and shard partial calls. It
+decides at two levels, each on exact facts about the data:
 
-* :func:`factorize_hash` — O(n) direct addressing over the integer key
-  domain. Dictionary-encoded strings, int64/timestamp columns, bools,
-  and the combined multi-key codes are all integers with a bounded
-  value range, which covers every group-by key the engine produces.
-* :func:`factorize_sort` — the ``np.unique`` sort path, O(n log n),
-  kept as the fallback for floats, objects, and integer domains too
-  wide to direct-address.
+* per column, :func:`factorize` routes by value domain between
+  :func:`factorize_hash` — O(n) direct addressing, which covers
+  dictionary-encoded strings, int64/timestamp columns, bools and
+  combined codes — and :func:`factorize_sort`, the ``np.unique`` path
+  for floats, objects and integer domains too sparse to direct-address;
+* across columns, the exact product of the per-column cardinalities
+  picks one combined int64 code (factorized again) while it fits, and
+  a lexsort over the per-column codes once it would wrap.
 
-Both kernels emit *identical* output — dense int64 codes in ascending
-value order with first-occurrence representatives — so routing is a pure
-performance decision (proven by ``tests/properties/test_groupby_kernels.py``).
+Every leg emits *identical* output — dense int64 ids in ascending key
+order with first-occurrence representatives — so routing is a pure
+performance decision (proven by ``tests/properties/test_groupby_kernels.py``
+against :func:`compute_group_keys_sorted`, the always-lexsort reference).
 
 On top of the kernels, :func:`compute_group_keys` consults the
 per-version group-code cache (:mod:`repro.engine.groupcache`) when the
@@ -210,10 +213,11 @@ def compute_group_keys(
     :func:`_masked_group_keys`): ``gids`` has one entry per kept row and
     ``representative`` indexes the unfiltered ``table``.
 
-    Wide or high-cardinality keys whose combined code space does not fit
-    in int64 are routed to :func:`compute_group_keys_sorted` (identical
+    Keys whose exact combined code space does not fit in int64 are
+    grouped by a lexsort over their per-column codes instead (identical
     output), so the combined-code multiply can never wrap and alias
-    distinct keys.
+    distinct keys. Key width alone never picks the lexsort: combined
+    codes stay faster while they fit.
 
     Tables stamped with a ``cache_token`` (immutable published sample
     versions — see :mod:`repro.engine.groupcache`) are served from the
@@ -267,7 +271,7 @@ def compute_group_keys(
 def compute_group_keys_sorted(
     table: Table, by: Sequence[str], mask: np.ndarray | None = None
 ) -> GroupKeys:
-    """Sort-based alternative to :func:`compute_group_keys`.
+    """Always-lexsort reference for :func:`compute_group_keys`.
 
     Instead of combining per-column codes into one hashable key (which
     multiplies cardinalities and can overflow int64 for wide keys), rows

@@ -6,20 +6,13 @@ resolve qualified column references. Operators keep the engine's
 vectorized numpy kernels; the per-clause ``_execute_*`` helpers of the
 old monolithic executor live on here as composable classes.
 
-Grouping has two interchangeable physical implementations:
-
-* :class:`HashGroupStrategy` — factorize/hash grouping via
-  :func:`~repro.engine.groupby.compute_group_keys` (combined-code
-  ``np.unique``), the fastest path for narrow keys;
-* :class:`SortGroupStrategy` — sort-based grouping via
-  :func:`~repro.engine.groupby.compute_group_keys_sorted`, which avoids
-  the combined-code multiplication and is chosen by
-  :func:`choose_group_strategy` when the key-space product could
-  overflow or the key is wide (cf. hash- vs sort-based group-by-
-  aggregate tradeoffs).
-
-Both produce identical group ids and ordering, so the physical choice
-never changes a result.
+Every grouping goes through one entry point,
+:func:`~repro.engine.groupby.compute_group_keys`, which owns the one
+group-by cost rule: per-column codes come from ``factorize`` (direct
+addressing or ``np.unique`` by value domain), and the exact combined
+keyspace picks combined codes or a lexsort over the per-column codes.
+It also serves stamped tables from the group-code cache, so operators
+make no grouping decision of their own.
 
 The aggregation operators fuse a :class:`FilterOp` child: when every
 group key is a stored column, the ``WHERE`` predicate is evaluated once
@@ -54,7 +47,6 @@ from ..groupby import (
     ALL_MARKER,
     GroupKeys,
     compute_group_keys,
-    compute_group_keys_sorted,
     cube_grouping_sets,
 )
 from ..join import hash_join
@@ -78,11 +70,9 @@ __all__ = [
     "OrderByOp",
     "LimitOp",
     "WithCTEOp",
-    "HashGroupStrategy",
-    "SortGroupStrategy",
-    "choose_group_strategy",
     "compile_plan",
     "masked_rows",
+    "sort_permutation",
     "PhysicalPlan",
 ]
 
@@ -100,75 +90,6 @@ class PhysicalOperator:
 
     def execute(self, catalog: dict) -> Relation:
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# group-by physical strategies
-# ----------------------------------------------------------------------
-class HashGroupStrategy:
-    """Factorize/hash grouping on a combined key code."""
-
-    name = "hash"
-
-    @staticmethod
-    def keys(table: Table, by, mask=None) -> GroupKeys:
-        return compute_group_keys(table, by, mask)
-
-
-class SortGroupStrategy:
-    """Sort-based grouping: lexsort per-column codes, scan boundaries."""
-
-    name = "sort"
-
-    @staticmethod
-    def keys(table: Table, by, mask=None) -> GroupKeys:
-        return compute_group_keys_sorted(table, by, mask)
-
-
-#: Combined-key-space bound above which the hash path's code
-#: multiplication risks int64 overflow.
-_HASH_KEYSPACE_LIMIT = 2**62
-#: Key widths at which sorting beats building combined codes.
-_SORT_KEY_WIDTH = 4
-
-_STRATEGIES = {"hash": HashGroupStrategy, "sort": SortGroupStrategy}
-
-
-def choose_group_strategy(table: Table, key_names) -> type:
-    """Cost rule picking a grouping implementation.
-
-    Single-column keys always hash. Wide keys sort. In between, bound
-    each column's cardinality (dictionary size for strings, row count
-    otherwise); if the product could overflow the combined int64 code,
-    sort instead of hashing.
-    """
-    if len(key_names) <= 1:
-        return HashGroupStrategy
-    if len(key_names) >= _SORT_KEY_WIDTH:
-        return SortGroupStrategy
-    bound = 1
-    for name in key_names:
-        column = table.column(name)
-        if column.dtype is DType.STRING:
-            cardinality = max(len(column.categories), 1)
-        else:
-            cardinality = max(table.num_rows, 1)
-        bound *= cardinality
-        if bound > _HASH_KEYSPACE_LIMIT:
-            return SortGroupStrategy
-    return HashGroupStrategy
-
-
-def _resolve_strategy(table: Table, key_names, requested: Optional[str]):
-    if requested is None or requested == "auto":
-        return choose_group_strategy(table, key_names)
-    try:
-        return _STRATEGIES[requested]
-    except KeyError:
-        raise QueryExecutionError(
-            f"unknown group strategy {requested!r}; "
-            f"known: {', '.join(sorted(_STRATEGIES))}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -443,18 +364,15 @@ class _AggregateBase(PhysicalOperator):
         items: Tuple[SelectItem, ...],
         having: Optional[Expr] = None,
         weight_column: Optional[str] = None,
-        strategy: Optional[str] = None,
     ) -> None:
         self.child = child
         self.group_by = tuple(group_by)
         self.items = tuple(items)
         self.having = having
         self.weight_column = weight_column
-        self.strategy = strategy
 
     def _group_keys(self, state: _AggregateState, key_names) -> GroupKeys:
-        impl = _resolve_strategy(state.working, key_names, self.strategy)
-        return impl.keys(state.working, key_names, state.mask)
+        return compute_group_keys(state.working, key_names, state.mask)
 
     def _prepare(self, catalog: dict) -> _AggregateState:
         """Resolve keys and aggregate inputs over the child's rows.
@@ -737,31 +655,40 @@ class OrderByOp(PhysicalOperator):
 
     def execute(self, catalog: dict) -> Relation:
         rel = self.child.execute(catalog)
-        result = rel.table
-        sort_keys = []
-        for item in self.keys:
-            expr = _resolve_expr(item.expr, result, [])
-            values = evaluate(expr, result)
-            if values.dtype.kind in ("O", "U", "S"):
-                values = np.asarray([str(v) for v in values])
-            elif values.dtype == np.bool_:
-                # numpy forbids unary minus on bool; DESC needs it.
-                values = values.astype(np.int8)
-            sort_keys.append((values, item.ascending))
-        # numpy lexsort: last key is primary.
-        arrays = []
-        for values, ascending in reversed(sort_keys):
-            if not ascending:
-                if values.dtype.kind in ("U", "S"):
-                    # Invert string order via negative rank.
-                    _, inverse = np.unique(values, return_inverse=True)
-                    arrays.append(-inverse)
-                else:
-                    arrays.append(-values)
-            else:
-                arrays.append(values)
-        order = np.lexsort(arrays)
-        return Relation(result.take(order), rel.bindings)
+        keys = [
+            (_resolve_expr(item.expr, rel.table, []), item.ascending)
+            for item in self.keys
+        ]
+        return Relation(
+            rel.table.take(sort_permutation(rel.table, keys)), rel.bindings
+        )
+
+
+def sort_permutation(table: Table, keys) -> np.ndarray:
+    """The ``ORDER BY`` row order of ``table``.
+
+    ``keys`` are ``(expr, ascending)`` pairs over ``table``'s columns,
+    the first one primary. One stable lexsort orders every key at once,
+    so ties on a descending key keep the order the later keys set.
+    """
+    arrays = []
+    # numpy lexsort: last key is primary.
+    for expr, ascending in reversed(list(keys)):
+        values = evaluate(expr, table)
+        if values.dtype.kind in ("O", "U", "S"):
+            values = np.asarray([str(v) for v in values])
+        elif values.dtype == np.bool_:
+            # numpy forbids unary minus on bool; DESC needs it.
+            values = values.astype(np.int8)
+        if ascending:
+            arrays.append(values)
+        elif values.dtype.kind in ("U", "S"):
+            # Invert string order via negative rank.
+            _, inverse = np.unique(values, return_inverse=True)
+            arrays.append(-inverse)
+        else:
+            arrays.append(-values)
+    return np.lexsort(arrays)
 
 
 @dataclass
@@ -788,64 +715,48 @@ class PhysicalPlan:
         return self.root.execute(dict(tables)).table
 
 
-def compile_plan(
-    plan: lp.LogicalPlan, group_strategy: Optional[str] = None
-) -> PhysicalPlan:
-    """Compile a logical plan into a physical operator tree.
-
-    ``group_strategy`` forces ``"hash"`` or ``"sort"`` grouping
-    everywhere; the default defers to :func:`choose_group_strategy` per
-    aggregation at run time.
-    """
-    return PhysicalPlan(_compile(plan, group_strategy), plan)
+def compile_plan(plan: lp.LogicalPlan) -> PhysicalPlan:
+    """Compile a logical plan into a physical operator tree."""
+    return PhysicalPlan(_compile(plan), plan)
 
 
-def _compile(plan: lp.LogicalPlan, strategy: Optional[str]) -> PhysicalOperator:
+def _compile(plan: lp.LogicalPlan) -> PhysicalOperator:
     if isinstance(plan, lp.Scan):
         return ScanOp(plan.table, plan.binding)
     if isinstance(plan, lp.Dual):
         return DualOp()
     if isinstance(plan, lp.SubqueryScan):
-        return SubqueryOp(_compile(plan.plan, strategy), plan.binding)
+        return SubqueryOp(_compile(plan.plan), plan.binding)
     if isinstance(plan, lp.Join):
         return JoinOp(
-            _compile(plan.left, strategy),
-            _compile(plan.right, strategy),
+            _compile(plan.left),
+            _compile(plan.right),
             plan.condition,
             plan.weight_column,
         )
     if isinstance(plan, lp.Filter):
-        return FilterOp(_compile(plan.child, strategy), plan.predicate)
+        return FilterOp(_compile(plan.child), plan.predicate)
     if isinstance(plan, lp.Project):
-        return ProjectOp(
-            _compile(plan.child, strategy), plan.items, plan.weight_column
+        return ProjectOp(_compile(plan.child), plan.items, plan.weight_column)
+    if isinstance(plan, (lp.GroupAggregate, lp.CubeAggregate)):
+        op = (
+            GroupAggregateOp
+            if isinstance(plan, lp.GroupAggregate)
+            else CubeAggregateOp
         )
-    if isinstance(plan, lp.GroupAggregate):
-        return GroupAggregateOp(
-            _compile(plan.child, strategy),
+        return op(
+            _compile(plan.child),
             plan.group_by,
             plan.items,
             plan.having,
             plan.weight_column,
-            strategy,
-        )
-    if isinstance(plan, lp.CubeAggregate):
-        return CubeAggregateOp(
-            _compile(plan.child, strategy),
-            plan.group_by,
-            plan.items,
-            plan.having,
-            plan.weight_column,
-            strategy,
         )
     if isinstance(plan, lp.OrderBy):
-        return OrderByOp(_compile(plan.child, strategy), plan.keys)
+        return OrderByOp(_compile(plan.child), plan.keys)
     if isinstance(plan, lp.Limit):
-        return LimitOp(_compile(plan.child, strategy), plan.count)
+        return LimitOp(_compile(plan.child), plan.count)
     if isinstance(plan, lp.WithCTE):
         return WithCTEOp(
-            plan.name,
-            _compile(plan.definition, strategy),
-            _compile(plan.body, strategy),
+            plan.name, _compile(plan.definition), _compile(plan.body)
         )
     raise TypeError(f"cannot compile plan node {type(plan).__name__}")

@@ -53,7 +53,13 @@ from ..engine.groupby import compute_group_keys
 from ..engine.statistics import ColumnStats
 from ..engine.sql.ast import NamedTable, SelectItem, SelectQuery
 from ..engine.sql.errors import QueryExecutionError
-from ..engine.sql.operators import _column_from_array, masked_rows
+from ..engine.sql.operators import (
+    _column_from_array,
+    _empty_context,
+    _output_name,
+    masked_rows,
+    sort_permutation,
+)
 from ..engine.table import Table
 
 __all__ = [
@@ -217,13 +223,6 @@ def decompose(query: SelectQuery) -> Optional[DecomposedQuery]:
         order_by=tuple(order_by),
         limit=query.limit,
     )
-
-
-def _output_name(expr: Expr, index: int) -> str:
-    # Mirrors the executor's naming for unaliased items.
-    if isinstance(expr, ColumnRef):
-        return expr.name.split(".")[-1]
-    return expr_to_sql(expr)
 
 
 # ----------------------------------------------------------------------
@@ -422,11 +421,7 @@ def finalize_partials(
         gtable_cols[name] = _column_from_array(
             np.asarray([key[j] for key in merged.keys])
         )
-    gtable = (
-        Table(gtable_cols)
-        if gtable_cols
-        else _group_context(num_groups)
-    )
+    gtable = Table(gtable_cols) if gtable_cols else _empty_context(num_groups)
     extra = {
         f"__agg_{i}": _final_values(
             call.func,
@@ -450,33 +445,8 @@ def finalize_partials(
             )
     table = Table(out)
     if dq.order_by:
-        arrays = []
-        ascending = []
-        for name, asc in dq.order_by:
-            arrays.append(np.asarray(table.column(name).decode()))
-            ascending.append(asc)
-        # lexsort: last key is primary; numpy sorts ascending, so flip
-        # descending numeric keys (strings sort via argsort fallback).
-        order = np.arange(table.num_rows)
-        for arr, asc in zip(reversed(arrays), reversed(ascending)):
-            idx = np.argsort(arr[order], kind="stable")
-            if not asc:
-                idx = idx[::-1]
-            order = order[idx]
-        table = table.take(order)
+        keys = [(ColumnRef(name), asc) for name, asc in dq.order_by]
+        table = table.take(sort_permutation(table, keys))
     if dq.limit is not None:
         table = table.head(dq.limit)
     return table
-
-
-def _group_context(num_groups: int) -> Table:
-    from ..engine.schema import DType
-    from ..engine.table import Column
-
-    return Table(
-        {
-            "__group__": Column(
-                DType.INT64, np.zeros(num_groups, dtype=np.int64)
-            )
-        }
-    )

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.sample import WEIGHT_COLUMN
 from repro.datasets import generate_openaq
+from repro.engine import groupby
 from repro.engine.groupby import compute_group_keys, compute_group_keys_sorted
 from repro.engine.groupcache import default_group_code_cache
 from repro.engine.schema import DType
@@ -209,11 +210,12 @@ class TestFusedEqualsFilterFirst:
         )
         assert result.num_rows == 0
 
-    def test_forced_sort_strategy(self, base):
+    def test_forced_sort_strategy(self, base, monkeypatch):
         sql = CASES["two_keys"]
-        plan = lower_query(parse_query(sql))
-        fused = compile_plan(plan, "sort").run({"T": _stamped(base, "s")})
         reference = _plan(sql, False, False).run({"T": _unstamped(base)})
+        # No combined key fits: grouping takes the lexsort leg.
+        monkeypatch.setattr(groupby, "_MAX_COMBINED_KEYSPACE", 1)
+        fused = _plan(sql, False, True).run({"T": _stamped(base, "s")})
         _assert_identical(fused, reference)
 
 
@@ -241,6 +243,45 @@ class TestFusedPathCostShape:
         assert copied
         for names in copied:
             assert set(names) <= {"value"}
+
+    def test_four_key_group_by_reads_the_cache(self, base, monkeypatch):
+        """A wide key takes the same cached path as a narrow one: the
+        second run is a group-code cache hit, and a filtered run
+        compacts the cached unfiltered codes instead of copying rows."""
+        stamped = _stamped(base, "four-keys")
+        cache = default_group_code_cache()
+        sql = (
+            "SELECT country, parameter, unit, location, SUM(value) s, "
+            "COUNT(*) c FROM T {where}"
+            "GROUP BY country, parameter, unit, location"
+        )
+        plain = sql.format(where="")
+        filtered = sql.format(where="WHERE latitude > 10 ")
+        _plan(plain, False, True).run({"T": stamped})
+        before = cache.counters()
+        _plan(plain, False, True).run({"T": stamped})
+        after = cache.counters()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+        copied = []
+        original = Table.filter
+
+        def spy(self, mask):
+            copied.append(self.column_names)
+            return original(self, mask)
+
+        monkeypatch.setattr(Table, "filter", spy)
+        fused = _plan(filtered, False, True).run({"T": stamped})
+        final = cache.counters()
+        assert final["hits"] == after["hits"] + 1
+        assert final["misses"] == after["misses"]
+        assert copied
+        for names in copied:
+            assert set(names) <= {"value"}
+        monkeypatch.undo()
+        reference = _plan(filtered, False, False).run({"T": _unstamped(base)})
+        _assert_identical(fused, reference)
 
     def test_derived_key_falls_back_to_filter_first(self, base, monkeypatch):
         copied = []

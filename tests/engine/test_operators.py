@@ -1,15 +1,11 @@
-"""Physical operators: group strategies, cost rule, pipeline equality."""
+"""Physical operators: hash == lexsort grouping, pipeline equality."""
 
 import numpy as np
 import pytest
 
+from repro.engine import groupby
 from repro.engine.groupby import compute_group_keys, compute_group_keys_sorted
 from repro.engine.sql.executor import execute_sql, plan_query
-from repro.engine.sql.operators import (
-    HashGroupStrategy,
-    SortGroupStrategy,
-    choose_group_strategy,
-)
 from repro.engine.sql.parser import parse_query
 from repro.engine.table import Table
 
@@ -49,30 +45,14 @@ class TestSortedGroupKeys:
         assert keys.num_groups == 0
 
 
-class TestCostRule:
-    def test_single_key_hashes(self, simple_table):
-        assert choose_group_strategy(simple_table, ["g"]) is HashGroupStrategy
-
-    def test_narrow_keys_hash(self, simple_table):
-        assert (
-            choose_group_strategy(simple_table, ["g", "h"])
-            is HashGroupStrategy
-        )
-
-    def test_wide_keys_sort(self, simple_table):
-        keys = ["g", "h", "x", "y"]
-        assert choose_group_strategy(simple_table, keys) is SortGroupStrategy
-
-    def test_overflow_risk_sorts(self, simple_table, monkeypatch):
-        from repro.engine.sql import operators
-
-        # With a tiny key-space limit the same two-column key must be
-        # routed to the sort path.
-        monkeypatch.setattr(operators, "_HASH_KEYSPACE_LIMIT", 2)
-        assert (
-            choose_group_strategy(simple_table, ["g", "h"])
-            is SortGroupStrategy
-        )
+def _run_both_legs(monkeypatch, query, tables, weight_column=None):
+    """The query's answer via combined codes, then via the lexsort leg
+    (forced by a combined keyspace no key fits in)."""
+    hashed = plan_query(query, weight_column).run(tables)
+    with monkeypatch.context() as patch:
+        patch.setattr(groupby, "_MAX_COMBINED_KEYSPACE", 1)
+        sorted_ = plan_query(query, weight_column).run(tables)
+    return hashed, sorted_
 
 
 class TestStrategyInterchangeability:
@@ -83,35 +63,32 @@ class TestStrategyInterchangeability:
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_hash_and_sort_agree(self, simple_table, sql):
-        query = parse_query(sql)
-        hashed = plan_query(query, group_strategy="hash").run(
-            {"T": simple_table}
-        )
-        sorted_ = plan_query(query, group_strategy="sort").run(
-            {"T": simple_table}
+    def test_hash_and_sort_agree(self, simple_table, sql, monkeypatch):
+        hashed, sorted_ = _run_both_legs(
+            monkeypatch, parse_query(sql), {"T": simple_table}
         )
         _assert_tables_equal(hashed, sorted_)
 
-    def test_agree_on_dataset(self, openaq_small):
+    def test_agree_on_dataset(self, openaq_small, monkeypatch):
         sub = openaq_small.head(8000)
         sql = (
             "SELECT country, parameter, AVG(value) a, COUNT(*) c "
             "FROM OpenAQ GROUP BY country, parameter"
         )
-        query = parse_query(sql)
-        hashed = plan_query(query, group_strategy="hash").run({"OpenAQ": sub})
-        sorted_ = plan_query(query, group_strategy="sort").run({"OpenAQ": sub})
+        hashed, sorted_ = _run_both_legs(
+            monkeypatch, parse_query(sql), {"OpenAQ": sub}
+        )
         _assert_tables_equal(hashed, sorted_)
 
-    def test_weighted_agree(self, simple_table):
+    def test_weighted_agree(self, simple_table, monkeypatch):
         weighted = simple_table.with_column(
             "__weight__",
             simple_table.column("y"),
         )
         query = parse_query("SELECT g, h, SUM(x) s FROM T GROUP BY g, h")
-        hashed = plan_query(query, "__weight__", "hash").run({"T": weighted})
-        sorted_ = plan_query(query, "__weight__", "sort").run({"T": weighted})
+        hashed, sorted_ = _run_both_legs(
+            monkeypatch, query, {"T": weighted}, "__weight__"
+        )
         _assert_tables_equal(hashed, sorted_)
 
 

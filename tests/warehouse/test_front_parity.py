@@ -195,6 +195,42 @@ class TestIntrospection:
         assert stats["answer_cache"]["misses"] >= 1
 
 
+class TestOrderByTies:
+    def test_descending_ties_keep_the_later_keys_order(self, make_front):
+        """Groups tie on the descending key; the ascending keys after it
+        must order each tie, on the approximate and the exact path."""
+        rows = {
+            ("x", "p"): [2.0, 3.0], ("x", "q"): [1.0, 4.0],
+            ("y", "p"): [5.0, 5.0], ("y", "q"): [4.0, 6.0],
+            ("z", "p"): [1.0, 1.0], ("z", "q"): [0.5, 1.5],
+        }
+        table = Table.from_pydict(
+            {
+                "a": [a for (a, _), vs in rows.items() for _ in vs],
+                "b": [b for (_, b), vs in rows.items() for _ in vs],
+                "v": [v for vs in rows.values() for v in vs],
+            },
+            name="T",
+        )
+        front = make_front({"T": table})
+        front.build("s", "T", group_by=["a", "b"], value_columns=["v"],
+                    budget=600)
+        sql = (
+            "SELECT a, b, SUM(v) s FROM T GROUP BY a, b "
+            "ORDER BY s DESC, a, b"
+        )
+        expected = [
+            ("y", "p"), ("y", "q"), ("x", "p"), ("x", "q"),
+            ("z", "p"), ("z", "q"),
+        ]
+        for mode in ("auto", "exact"):
+            result = front.query(sql, mode=mode)
+            assert result.approximate == (mode == "auto")
+            out = result.table
+            got = list(zip(out.column("a").decode(), out.column("b").decode()))
+            assert got == expected, mode
+
+
 class TestRangeBelowUnretainedFamily:
     def test_falls_back_exact_instead_of_rejecting(self, make_front):
         """A family built with no ``retention`` never pruned a window,

@@ -231,7 +231,7 @@ def _keys_of_bytes(nbytes):
     )
 
 
-class TestEviction:
+class TestByteEviction:
     def test_byte_bound_evicts_the_oldest_entry(self, monkeypatch):
         monkeypatch.setattr(groupcache, "MAX_CACHE_BYTES", 4096)
         cache = GroupCodeCache(capacity=100)
@@ -256,6 +256,7 @@ class TestEviction:
         assert cache.counters()["bytes"] == 80
         cache.invalidate()
         assert cache.counters()["bytes"] == 0
+
 
 class TestEviction:
     def test_size_bound_holds_under_eviction(self):
